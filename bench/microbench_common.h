@@ -53,6 +53,35 @@ double BestOfMs(int reps, const Fn& fn) {
   return best;
 }
 
+/// Wall-time summary of repeated runs: the median is the headline (and
+/// what floors compare), min and the interquartile range the noise band.
+struct Timing {
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double iqr_ms = 0.0;
+};
+
+/// One untimed warm-up call of `fn`, then `reps` (>= 1) timed calls.
+/// Quantiles interpolate linearly between order statistics.
+template <typename Fn>
+Timing Measure(int reps, const Fn& fn) {
+  fn();
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    Stopwatch watch;
+    fn();
+    ms.push_back(watch.ElapsedMillis());
+  }
+  std::sort(ms.begin(), ms.end());
+  const auto quantile = [&ms](double q) {
+    const double pos = q * static_cast<double>(ms.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, ms.size() - 1);
+    return ms[lo] + (pos - static_cast<double>(lo)) * (ms[hi] - ms[lo]);
+  };
+  return Timing{quantile(0.5), ms.front(), quantile(0.75) - quantile(0.25)};
+}
+
 /// Hot-spot query workload: every query is a small Gaussian jitter
 /// around one of `hotspots` data points, so batch frontiers overlap
 /// heavily and page coalescing has something to coalesce.

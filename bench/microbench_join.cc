@@ -25,6 +25,10 @@
 // checked against the O(n^2) oracle when n <= 50000 (always in
 // --smoke).
 //
+// Timing: every config runs one untimed warm-up join, then 5 timed
+// joins (1 in --smoke); the JSON records the median, min and IQR of
+// each, and the floors compare medians.
+//
 // Floors: sq8 >= 4x exhaustive at d=16 is CPU-bound and enforced in
 // full runs; the >= 3x 8-thread wall-clock floor is hardware-dependent
 // and enforced only on machines with >= 4 hardware threads (never in
@@ -53,8 +57,9 @@
 namespace parsim {
 namespace {
 
-using bench::BestOfMs;
 using bench::EnvSize;
+using bench::Measure;
+using bench::Timing;
 
 std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
                                                  bool quantized) {
@@ -120,9 +125,9 @@ struct ConfigRow {
   std::uint64_t block_pairs_considered = 0;
   std::uint64_t block_pairs_swept = 0;
   std::uint64_t coalesced_reads = 0;
-  double exhaustive_ms = 0.0;
-  double sq8_ms = 0.0;
-  double sq8_mt_ms = 0.0;
+  Timing exhaustive;
+  Timing sq8;
+  Timing sq8_mt;
   double sq8_speedup = 0.0;
   double thread_speedup = 0.0;
 };
@@ -132,7 +137,7 @@ int Run(bool smoke) {
   const unsigned threads = static_cast<unsigned>(
       EnvSize("PARSIM_BENCH_THREADS", 8));
   const unsigned hardware = std::thread::hardware_concurrency();
-  const int reps = smoke ? 1 : 2;
+  const int reps = smoke ? 1 : 5;
   std::printf("all-pairs similarity join: n=%zu threads=%u "
               "(hardware threads: %u)%s\n",
               n, threads, hardware, smoke ? " [smoke]" : "");
@@ -189,17 +194,17 @@ int Run(bool smoke) {
       ++failures;
     }
 
-    row.exhaustive_ms = BestOfMs(reps, [&] {
+    row.exhaustive = Measure(reps, [&] {
       exact_engine->SelfJoin(row.eps, serial_opts);
     });
-    row.sq8_ms = BestOfMs(reps, [&] {
+    row.sq8 = Measure(reps, [&] {
       sq8_engine->SelfJoin(row.eps, serial_opts);
     });
-    row.sq8_mt_ms = BestOfMs(reps, [&] {
+    row.sq8_mt = Measure(reps, [&] {
       sq8_engine->SelfJoin(row.eps, mt_opts);
     });
-    row.sq8_speedup = row.exhaustive_ms / row.sq8_ms;
-    row.thread_speedup = row.sq8_ms / row.sq8_mt_ms;
+    row.sq8_speedup = row.exhaustive.median_ms / row.sq8.median_ms;
+    row.thread_speedup = row.sq8.median_ms / row.sq8_mt.median_ms;
 
     std::printf(
         "%4zu %10.5f %12llu %14llu %8.1f%% %12.2f %10.2f %10.2f %7.2fx "
@@ -208,8 +213,8 @@ int Run(bool smoke) {
         static_cast<unsigned long long>(row.candidates),
         100.0 * static_cast<double>(row.pruned) /
             static_cast<double>(std::max<std::uint64_t>(1, row.candidates)),
-        row.exhaustive_ms, row.sq8_ms, row.sq8_mt_ms, row.sq8_speedup,
-        row.thread_speedup);
+        row.exhaustive.median_ms, row.sq8.median_ms, row.sq8_mt.median_ms,
+        row.sq8_speedup, row.thread_speedup);
     rows.push_back(row);
   }
 
@@ -249,8 +254,8 @@ int Run(bool smoke) {
   std::fprintf(json, "{\n  \"bench\": \"join\",\n");
   std::fprintf(json,
                "  \"config\": {\"n\": %zu, \"threads\": %u, "
-               "\"clusters\": 32, \"smoke\": %s},\n",
-               n, threads, smoke ? "true" : "false");
+               "\"clusters\": 32, \"reps\": %d, \"smoke\": %s},\n",
+               n, threads, reps, smoke ? "true" : "false");
   std::fprintf(json, "  \"hardware_threads\": %u,\n", hardware);
   std::fprintf(json, "  \"configs\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -261,8 +266,12 @@ int Run(bool smoke) {
         "\"candidates\": %llu, \"pruned\": %llu, "
         "\"block_pairs_considered\": %llu, \"block_pairs_swept\": %llu, "
         "\"coalesced_reads\": %llu,\n"
-        "     \"exhaustive_ms\": %.3f, \"sq8_serial_ms\": %.3f, "
-        "\"sq8_mt_ms\": %.3f,\n"
+        "     \"exhaustive_ms\": %.3f, \"exhaustive_min_ms\": %.3f, "
+        "\"exhaustive_iqr_ms\": %.3f,\n"
+        "     \"sq8_serial_ms\": %.3f, \"sq8_serial_min_ms\": %.3f, "
+        "\"sq8_serial_iqr_ms\": %.3f,\n"
+        "     \"sq8_mt_ms\": %.3f, \"sq8_mt_min_ms\": %.3f, "
+        "\"sq8_mt_iqr_ms\": %.3f,\n"
         "     \"candidate_pairs_per_sec_exhaustive\": %.0f, "
         "\"candidate_pairs_per_sec_sq8\": %.0f, "
         "\"candidate_pairs_per_sec_sq8_mt\": %.0f,\n"
@@ -274,11 +283,13 @@ int Run(bool smoke) {
         static_cast<unsigned long long>(r.pruned),
         static_cast<unsigned long long>(r.block_pairs_considered),
         static_cast<unsigned long long>(r.block_pairs_swept),
-        static_cast<unsigned long long>(r.coalesced_reads), r.exhaustive_ms,
-        r.sq8_ms, r.sq8_mt_ms,
-        1000.0 * static_cast<double>(r.candidates) / r.exhaustive_ms,
-        1000.0 * static_cast<double>(r.candidates) / r.sq8_ms,
-        1000.0 * static_cast<double>(r.candidates) / r.sq8_mt_ms,
+        static_cast<unsigned long long>(r.coalesced_reads),
+        r.exhaustive.median_ms, r.exhaustive.min_ms, r.exhaustive.iqr_ms,
+        r.sq8.median_ms, r.sq8.min_ms, r.sq8.iqr_ms, r.sq8_mt.median_ms,
+        r.sq8_mt.min_ms, r.sq8_mt.iqr_ms,
+        1000.0 * static_cast<double>(r.candidates) / r.exhaustive.median_ms,
+        1000.0 * static_cast<double>(r.candidates) / r.sq8.median_ms,
+        1000.0 * static_cast<double>(r.candidates) / r.sq8_mt.median_ms,
         r.sq8_speedup, sq8_floor,
         (!smoke && r.dim == 16) ? "true" : "false", r.thread_speedup,
         thread_floor,

@@ -142,6 +142,57 @@ bool MinDistExceeds(const Rect& rect, PointView query, const Metric& metric,
   PARSIM_UNREACHABLE();
 }
 
+bool MinDistExceeds(const Rect& a, const Rect& b, const Metric& metric,
+                    double cutoff, double* out) {
+  PARSIM_DCHECK(a.dim() == b.dim());
+  // Replays MinDistComparable(a, b, metric) operation for operation
+  // (L2: Rect::SquaredMinDist(const Rect&); L1/Lmax: the slab-gap loops
+  // above) with the same early exit as the point overload.
+  switch (metric.kind()) {
+    case MetricKind::kL2: {
+      double sum = 0.0;
+      for (std::size_t i = 0; i < a.dim(); ++i) {
+        const double below =
+            static_cast<double>(a.lo(i)) - static_cast<double>(b.hi(i));
+        const double above =
+            static_cast<double>(b.lo(i)) - static_cast<double>(a.hi(i));
+        const double diff = std::max(std::max(below, above), 0.0);
+        sum += diff * diff;
+        if (sum > cutoff) return true;
+      }
+      *out = sum;
+      return false;
+    }
+    case MetricKind::kL1: {
+      double sum = 0.0;
+      for (std::size_t i = 0; i < a.dim(); ++i) {
+        const double below =
+            static_cast<double>(a.lo(i)) - static_cast<double>(b.hi(i));
+        const double above =
+            static_cast<double>(b.lo(i)) - static_cast<double>(a.hi(i));
+        sum += std::max(std::max(below, above), 0.0);
+        if (sum > cutoff) return true;
+      }
+      *out = sum;
+      return false;
+    }
+    case MetricKind::kLmax: {
+      double best = 0.0;
+      for (std::size_t i = 0; i < a.dim(); ++i) {
+        const double below =
+            static_cast<double>(a.lo(i)) - static_cast<double>(b.hi(i));
+        const double above =
+            static_cast<double>(b.lo(i)) - static_cast<double>(a.hi(i));
+        best = std::max(best, std::max(std::max(below, above), 0.0));
+        if (best > cutoff) return true;
+      }
+      *out = best;
+      return false;
+    }
+  }
+  PARSIM_UNREACHABLE();
+}
+
 namespace {
 
 /// Bounded max-heap of the k best candidates in the Comparable scale.

@@ -108,6 +108,13 @@ double MinDistComparable(const Rect& a, const Rect& b, const Metric& metric);
 bool MinDistExceeds(const Rect& rect, PointView query, const Metric& metric,
                     double cutoff, double* out);
 
+/// Rect-rect counterpart of the early-exit test above (the join's
+/// block-pair prune): returns true iff MinDistComparable(a, b, metric) >
+/// cutoff, exiting as soon as the partial sum/max passes it. When it
+/// returns false, *out is bit-identical to MinDistComparable(a, b).
+bool MinDistExceeds(const Rect& a, const Rect& b, const Metric& metric,
+                    double cutoff, double* out);
+
 }  // namespace parsim
 
 #endif  // PARSIM_SRC_INDEX_KNN_H_

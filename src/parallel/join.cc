@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "src/index/node.h"
 #include "src/parallel/engine.h"
 #include "src/util/check.h"
+#include "src/util/parallel_sort.h"
 
 namespace parsim {
 
@@ -328,44 +330,58 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
     parents[leaves[i].parent].leaves.push_back(i);
   }
 
-  // ---- Stage 2: prune block pairs by MBR MINDIST. Self pairs always
-  // survive (MINDIST(i, i) == 0 <= any eps >= 0); cross pairs are
-  // tested leaf-against-leaf only when their parents' MBRs pass first.
+  // ---- Stage 2: prune block pairs by MBR MINDIST, one task per row.
   // Row i owns every surviving pair (i, j), j >= i — Özkural &
   // Aykanat's 1-D owner-computes decomposition: each pair is swept by
-  // exactly one row task.
-  std::vector<std::vector<std::uint32_t>> row_pairs(num_leaves);
-  std::uint64_t swept = 0;
+  // exactly one row task. The self pair always survives (MINDIST(i, i)
+  // == 0 <= any eps >= 0); a cross pair is tested leaf-against-leaf only
+  // when its parents' MBRs pass first. Each row fills its own list from
+  // read-only inputs, so the lists cannot depend on scheduling.
+  const std::size_t num_parents = parents.size();
+  std::vector<std::vector<std::uint32_t>> parent_pass(num_parents);
   {
     ScopedPhase phase(Phase::kDescent);
-    for (std::uint32_t i = 0; i < num_leaves; ++i) {
-      row_pairs[i].push_back(i);
-      ++swept;
-    }
-    const std::size_t num_parents = parents.size();
-    for (std::size_t p = 0; p < num_parents; ++p) {
-      for (std::size_t q = p; q < num_parents; ++q) {
-        if (MinDistComparable(parents[p].mbr, parents[q].mbr, metric_) >
-            eps_cmp) {
+    for (std::uint32_t p = 0; p < num_parents; ++p) {
+      for (std::uint32_t q = p; q < num_parents; ++q) {
+        double mindist = 0.0;
+        if (MinDistExceeds(parents[p].mbr, parents[q].mbr, metric_, eps_cmp,
+                           &mindist)) {
           continue;
         }
-        for (const std::uint32_t li : parents[p].leaves) {
-          for (const std::uint32_t lj : parents[q].leaves) {
-            if (p == q && lj <= li) continue;  // each unordered pair once
-            if (MinDistComparable(leaves[li].mbr, leaves[lj].mbr, metric_) >
-                eps_cmp) {
-              continue;
-            }
-            row_pairs[std::min(li, lj)].push_back(std::max(li, lj));
-            ++swept;
-          }
+        parent_pass[p].push_back(q);
+        if (q != p) parent_pass[q].push_back(p);
+      }
+    }
+  }
+  std::vector<std::vector<std::uint32_t>> row_pairs(num_leaves);
+  const auto prune_row = [&](std::size_t slot) {
+    ScopedPhaseCapture worker_capture(phases);
+    ScopedPhase phase(Phase::kDescent);
+    const std::uint32_t i = static_cast<std::uint32_t>(slot);
+    const Rect& mbr = leaves[i].mbr;
+    std::vector<std::uint32_t>& row = row_pairs[i];
+    row.push_back(i);
+    for (const std::uint32_t q : parent_pass[leaves[i].parent]) {
+      // Parent leaf lists ascend, so the leaves past i form a suffix.
+      const std::vector<std::uint32_t>& cand = parents[q].leaves;
+      for (auto it = std::upper_bound(cand.begin(), cand.end(), i);
+           it != cand.end(); ++it) {
+        double mindist = 0.0;
+        if (!MinDistExceeds(mbr, leaves[*it].mbr, metric_, eps_cmp,
+                            &mindist)) {
+          row.push_back(*it);
         }
       }
     }
-    for (std::vector<std::uint32_t>& row : row_pairs) {
-      std::sort(row.begin(), row.end());
-    }
+    std::sort(row.begin() + 1, row.end());
+  };
+  if (pool != nullptr && pool->size() > 1) {
+    pool->ParallelFor(0, num_leaves, prune_row);
+  } else {
+    for (std::size_t i = 0; i < num_leaves; ++i) prune_row(i);
   }
+  std::uint64_t swept = 0;
+  for (const std::vector<std::uint32_t>& row : row_pairs) swept += row.size();
   stats->block_pairs_swept = swept;
   stats->block_pairs_pruned = stats->block_pairs_considered - swept;
 
@@ -661,7 +677,12 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
     stats->leaf_bytes_scanned += out.sweep.leaf_bytes_scanned;
     stats->block_kernel_invocations += out.kernels;
   }
-  std::sort(pairs.begin(), pairs.end());
+  // Nothing reads the row outputs again, so they go before the sort
+  // allocates its scratch copy of the list. JoinPair's < is a strict
+  // total order on distinct (a, b), so the parallel merge sort's output
+  // is unique: the same list at any pool width.
+  std::vector<RowOutput>().swap(rows);
+  ParallelSort(pool, pairs.begin(), pairs.end(), std::less<JoinPair>());
   stats->pairs_emitted = pairs.size();
   return pairs;
 }

@@ -11,10 +11,15 @@
 //      leaf with its MBR — taken from the parent's entry, so no data
 //      page is touched yet.
 //   2. Prune: a leaf pair (i, j), i <= j, survives iff the rect-rect
-//      MINDIST of their MBRs (MinDistComparable, comparable scale) is
-//      at most ToComparable(epsilon). A parent-level prefilter runs
-//      first — parent MBRs contain their children's, so a pruned parent
-//      pair losslessly prunes all its leaf pairs without testing them.
+//      MINDIST of their MBRs (comparable scale) is at most
+//      ToComparable(epsilon). A parent-level prefilter runs first —
+//      parent MBRs contain their children's, so a pruned parent pair
+//      losslessly prunes all its leaf pairs without testing them; the
+//      passing parent pairs form a small table built serially. The
+//      leaf tests then fan out over the pool, one task per row: row i
+//      walks every leaf j > i under a parent that passes with i's own,
+//      tests the pair with the early-exit MinDistExceeds (same decision
+//      as the full MINDIST), and sorts its own list.
 //   3. Fetch: each distinct leaf involved in any surviving pair is read
 //      ONCE, in ascending node-id order (the leader pays the faulted /
 //      buffered read, as in the coalesced batch scheduler); every
@@ -41,9 +46,12 @@
 //      whose base bound already clears the threshold. Non-quantized
 //      trees take the exact block sweeps (SweepLeafBlockSelf / Many).
 //
-// Determinism: the emitted pair list is sorted by (a, b) and every
-// counter is a sum of per-row integer contributions merged in row order,
-// so results AND stats are invariant across thread counts.
+// Determinism: every parallel stage writes only its own row's (or
+// group's) slot, every counter is a sum of per-row integer
+// contributions merged in row order, and the merged pair list is put in
+// (a, b) order by the deterministic ParallelSort — pairs are distinct,
+// so the sorted list is unique — so results AND stats are invariant
+// across thread counts.
 
 #ifndef PARSIM_SRC_PARALLEL_JOIN_H_
 #define PARSIM_SRC_PARALLEL_JOIN_H_

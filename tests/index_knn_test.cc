@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/index/rstar_tree.h"
 #include "src/index/xtree.h"
+#include "src/util/random.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
@@ -216,6 +221,109 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.k) + (p.use_xtree ? "x" : "r") +
              (p.bulk ? "bulk" : "ins");
     });
+
+// ---- Early-exit MINDIST (MinDistExceeds) against the full computation.
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(v));
+  return bits;
+}
+
+/// Coordinates on a coarse grid, so faces touch and gaps repeat exactly
+/// (MINDIST ties and zeros) as often as generic values occur.
+Scalar GridCoord(Rng& rng) {
+  return static_cast<Scalar>(rng.NextBounded(9)) / 8.0f;
+}
+
+/// A random rectangle: some dimensions (or all, when `point` is set)
+/// degenerate to lo == hi.
+Rect RandomRect(Rng& rng, std::size_t dim, bool point) {
+  std::vector<Scalar> lo(dim), hi(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    Scalar a = rng.NextBernoulli(0.5) ? GridCoord(rng)
+                                      : static_cast<Scalar>(rng.NextDouble());
+    Scalar b = point || rng.NextBernoulli(0.2)
+                   ? a
+                   : static_cast<Scalar>(rng.NextDouble() * 0.5) + a;
+    lo[i] = std::min(a, b);
+    hi[i] = std::max(a, b);
+  }
+  return Rect(std::move(lo), std::move(hi));
+}
+
+/// Cutoffs around `exact`: below, exactly at, one ulp either side, above,
+/// zero, and infinity.
+std::vector<double> CutoffsAround(double exact) {
+  return {0.0,
+          exact,
+          std::nextafter(exact, -1.0),
+          std::nextafter(exact, std::numeric_limits<double>::infinity()),
+          exact * 0.5,
+          exact * 2.0 + 1e-3,
+          std::numeric_limits<double>::infinity()};
+}
+
+class MinDistExceedsTest : public ::testing::TestWithParam<MetricKind> {};
+
+TEST_P(MinDistExceedsTest, PointOverloadMatchesFullMinDist) {
+  const Metric metric(GetParam());
+  Rng rng(6101 + static_cast<std::uint64_t>(GetParam()));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t dim = 1 + rng.NextBounded(16);
+    const Rect rect = RandomRect(rng, dim, /*point=*/trial % 5 == 0);
+    std::vector<Scalar> q(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      q[i] = rng.NextBernoulli(0.5) ? GridCoord(rng)
+                                    : static_cast<Scalar>(rng.NextDouble());
+    }
+    const PointView query(q.data(), dim);
+    const double exact = MinDistComparable(rect, query, metric);
+    for (const double cutoff : CutoffsAround(exact)) {
+      double out = -1.0;
+      const bool exceeds = MinDistExceeds(rect, query, metric, cutoff, &out);
+      ASSERT_EQ(exceeds, exact > cutoff)
+          << "trial " << trial << " cutoff " << cutoff << " exact " << exact;
+      if (!exceeds) {
+        EXPECT_EQ(Bits(out), Bits(exact)) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST_P(MinDistExceedsTest, RectOverloadMatchesFullMinDistInEitherOrder) {
+  const Metric metric(GetParam());
+  Rng rng(6201 + static_cast<std::uint64_t>(GetParam()));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t dim = 1 + rng.NextBounded(16);
+    const Rect a = RandomRect(rng, dim, /*point=*/trial % 5 == 0);
+    const Rect b = RandomRect(rng, dim, /*point=*/trial % 7 == 0);
+    const double exact = MinDistComparable(a, b, metric);
+    ASSERT_EQ(Bits(exact), Bits(MinDistComparable(b, a, metric)))
+        << "trial " << trial;
+    for (const double cutoff : CutoffsAround(exact)) {
+      double ab = -1.0;
+      double ba = -1.0;
+      const bool exceeds_ab = MinDistExceeds(a, b, metric, cutoff, &ab);
+      const bool exceeds_ba = MinDistExceeds(b, a, metric, cutoff, &ba);
+      ASSERT_EQ(exceeds_ab, exact > cutoff)
+          << "trial " << trial << " cutoff " << cutoff << " exact " << exact;
+      ASSERT_EQ(exceeds_ba, exceeds_ab) << "trial " << trial;
+      if (!exceeds_ab) {
+        EXPECT_EQ(Bits(ab), Bits(exact)) << "trial " << trial;
+        EXPECT_EQ(Bits(ba), Bits(exact)) << "trial " << trial;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMetrics, MinDistExceedsTest,
+                         ::testing::Values(MetricKind::kL1, MetricKind::kL2,
+                                           MetricKind::kLmax),
+                         [](const auto& info) {
+                           return MetricKindToString(info.param);
+                         });
+
 
 }  // namespace
 }  // namespace parsim

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "src/parsim/parsim.h"
+#include "src/util/parallel_sort.h"
 
 namespace parsim {
 namespace {
@@ -234,6 +235,39 @@ TEST(SimilarityJoinTest, DeterministicAcrossThreadCounts) {
     for (const unsigned threads : {1u, 2u, 8u}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       const auto engine = MakeEngine(data, 8, mode, MetricKind::kL2, threads);
+      JoinOptions options;
+      options.threads = threads;
+      const JoinResult result = engine->SelfJoin(eps, options);
+      ExpectSamePairs(reference.pairs, result.pairs);
+      ExpectSameStats(reference.stats, result.stats);
+    }
+  }
+}
+
+// Large enough to reach every parallel stage: several level-1 parents
+// (the parent-pass table and the per-row block-pair enumeration have
+// cross-parent pairs to prune) and more pairs than kParallelSortCutoff
+// (the final pair sort fans out over the pool instead of falling back
+// to std::sort).
+TEST(SimilarityJoinTest, DeterministicAcrossThreadCountsAtParallelScale) {
+  const PointSet data = GenerateClusteredGaussian(12000, 8, 12, 0.05, 5001);
+  for (const MetricKind kind :
+       {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
+    SCOPED_TRACE(MetricKindToString(kind));
+    const double eps = kind == MetricKind::kL1   ? 0.185
+                       : kind == MetricKind::kL2 ? 0.08
+                                                 : 0.047;
+    const auto serial_engine = MakeEngine(data, 8, SweepMode::kQuantized, kind);
+    ASSERT_GE(serial_engine->tree().height(), 3);
+    const JoinResult reference = serial_engine->SelfJoin(eps);
+    ExpectJoinInvariants(reference.stats);
+    ExpectPageConservation(reference.stats);
+    EXPECT_GT(reference.pairs.size(), kParallelSortCutoff);
+    EXPECT_GT(reference.stats.block_pairs_pruned, 0u);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      const auto engine =
+          MakeEngine(data, 8, SweepMode::kQuantized, kind, threads);
       JoinOptions options;
       options.threads = threads;
       const JoinResult result = engine->SelfJoin(eps, options);

@@ -62,9 +62,10 @@ echo "== [3/4] TSAN build + concurrency tests =="
 # index_bulk_load_parallel_test run the deterministic parallel merge
 # sort and the full parallel bulk-load path (key batches, slab tiling,
 # level packing, warm-up fan-out) on 8-worker pools; parallel_join_test
-# fans the self-join's codebook builds and block-pair row sweeps over
-# pools of several widths and asserts the pair list and every counter
-# are thread-count invariant.
+# fans the self-join's per-row block-pair enumeration, codebook builds,
+# block-pair row sweeps and final parallel pair sort over pools of
+# several widths and asserts the pair list and every counter are
+# thread-count invariant.
 TSAN_TESTS=(util_thread_pool_test util_parallel_sort_test
             io_buffer_pool_test
             parallel_concurrency_test parallel_threads_test
