@@ -11,9 +11,11 @@
 //   * simulated batch makespan (SimulateThroughput) and the coalescing
 //     speedup: followers of a page group charge no I/O, so the busiest
 //     disk's page count drops;
-//   * wall-clock time of the two paths (best of reps, both serial, so
-//     the ratio isolates the algorithmic effect of block kernels and
-//     shared page expansions);
+//   * wall-clock time of the two paths (median of reps after a warm-up,
+//     with min and IQR as the noise band; both serial, so the ratio
+//     isolates the algorithmic effect of block kernels and shared page
+//     expansions). At batch 1 the ratio compares the two executors
+//     head to head: single-query HsKnn against a width-1 round;
 //   * the coalesced_reads / block_kernel_invocations counters;
 //
 // and verifies two hard invariants: batched results are bit-identical to
@@ -50,9 +52,10 @@
 namespace parsim {
 namespace {
 
-using bench::BestOfMs;
 using bench::EnvSize;
 using bench::MakeHotSpotQueries;
+using bench::Measure;
+using bench::Timing;
 
 std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
                                                  std::size_t disks,
@@ -110,8 +113,9 @@ struct ConfigResult {
   double perquery_makespan_ms = 0.0;
   double batched_makespan_ms = 0.0;
   double makespan_speedup = 0.0;
-  double perquery_wall_ms = 0.0;
-  double batched_wall_ms = 0.0;
+  Timing perquery_wall;
+  Timing batched_wall;
+  /// Ratio of the medians.
   double wall_speedup = 0.0;
   std::uint64_t perquery_pages = 0;
   std::uint64_t batched_pages = 0;
@@ -177,24 +181,22 @@ int Run(bool smoke) {
       const std::vector<KnnResult> res_b =
           batched->QueryBatch(queries, k, &stats_b, 1);
 
-      // Wall clock, both serial: the ratio isolates the algorithmic
-      // effect (block kernels + shared expansions), not thread counts.
-      const double wall_pq = BestOfMs(reps, [&] {
-        (void)perquery->QueryBatch(queries, k, nullptr, 1);
-      });
-      const double wall_b = BestOfMs(reps, [&] {
-        (void)batched->QueryBatch(queries, k, nullptr, 1);
-      });
-
       ConfigResult row;
       row.dim = dim;
       row.batch = batch;
       row.perquery_makespan_ms = sim_pq.makespan_ms;
       row.batched_makespan_ms = sim_b.makespan_ms;
       row.makespan_speedup = sim_pq.makespan_ms / sim_b.makespan_ms;
-      row.perquery_wall_ms = wall_pq;
-      row.batched_wall_ms = wall_b;
-      row.wall_speedup = wall_pq / wall_b;
+      // Wall clock, both serial: the ratio isolates the algorithmic
+      // effect (block kernels + shared expansions), not thread counts.
+      row.perquery_wall = Measure(reps, [&] {
+        (void)perquery->QueryBatch(queries, k, nullptr, 1);
+      });
+      row.batched_wall = Measure(reps, [&] {
+        (void)batched->QueryBatch(queries, k, nullptr, 1);
+      });
+      row.wall_speedup =
+          row.perquery_wall.median_ms / row.batched_wall.median_ms;
       for (std::size_t d = 0; d < disks; ++d) {
         row.perquery_pages += sim_pq.pages_per_disk[d];
         row.batched_pages += sim_b.pages_per_disk[d];
@@ -208,11 +210,12 @@ int Run(bool smoke) {
 
       std::printf(
           "  d=%2zu batch=%2zu: makespan %9.1f -> %9.1f ms (%5.2fx)  "
-          "wall %7.2f -> %7.2f ms (%4.2fx)  coalesced=%llu  identical=%s "
-          "invariant=%s\n",
+          "wall %7.2f -> %7.2f ms (%4.2fx, iqr %.2f / %.2f)  coalesced=%llu  "
+          "identical=%s invariant=%s\n",
           dim, batch, row.perquery_makespan_ms, row.batched_makespan_ms,
-          row.makespan_speedup, row.perquery_wall_ms, row.batched_wall_ms,
-          row.wall_speedup,
+          row.makespan_speedup, row.perquery_wall.median_ms,
+          row.batched_wall.median_ms, row.wall_speedup,
+          row.perquery_wall.iqr_ms, row.batched_wall.iqr_ms,
           static_cast<unsigned long long>(row.coalesced_reads),
           row.results_identical ? "yes" : "NO (BUG)",
           row.page_invariant ? "yes" : "NO (BUG)");
@@ -346,14 +349,19 @@ int Run(bool smoke) {
         "    {\"dim\": %zu, \"batch\": %zu, "
         "\"perquery_makespan_ms\": %.3f, \"batched_makespan_ms\": %.3f, "
         "\"makespan_speedup\": %.3f, "
-        "\"perquery_wall_ms\": %.3f, \"batched_wall_ms\": %.3f, "
+        "\"perquery_wall_ms\": %.3f, \"perquery_min_ms\": %.3f, "
+        "\"perquery_iqr_ms\": %.3f, \"batched_wall_ms\": %.3f, "
+        "\"batched_min_ms\": %.3f, \"batched_iqr_ms\": %.3f, "
         "\"wall_speedup\": %.3f, "
         "\"perquery_data_pages\": %llu, \"batched_data_pages\": %llu, "
         "\"coalesced_reads\": %llu, \"block_kernel_invocations\": %llu, "
         "\"results_identical\": %s, \"page_invariant\": %s}%s\n",
         r.dim, r.batch, r.perquery_makespan_ms, r.batched_makespan_ms,
-        r.makespan_speedup, r.perquery_wall_ms, r.batched_wall_ms,
-        r.wall_speedup, static_cast<unsigned long long>(r.perquery_pages),
+        r.makespan_speedup, r.perquery_wall.median_ms,
+        r.perquery_wall.min_ms, r.perquery_wall.iqr_ms,
+        r.batched_wall.median_ms, r.batched_wall.min_ms,
+        r.batched_wall.iqr_ms, r.wall_speedup,
+        static_cast<unsigned long long>(r.perquery_pages),
         static_cast<unsigned long long>(r.batched_pages),
         static_cast<unsigned long long>(r.coalesced_reads),
         static_cast<unsigned long long>(r.block_kernel_invocations),

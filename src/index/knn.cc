@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
+#include "src/index/hs_frontier.h"
 #include "src/index/leaf_block.h"
 #include "src/index/leaf_sweep.h"
 #include "src/util/check.h"
@@ -236,171 +236,36 @@ class TopK {
 
 }  // namespace
 
-namespace {
-
-/// A frontier entry: a node (is_point == false) keyed by MINDIST or a
-/// data point keyed by its actual distance, both in the Comparable
-/// scale. The MINDIST is computed once, at push time, and carried in
-/// `key` — never recomputed on pop.
-struct HsItem {
-  double key;
-  bool is_point;
-  std::uint32_t ref;  // NodeId or PointId
-};
-
-struct HsGreaterKey {
-  bool operator()(const HsItem& a, const HsItem& b) const {
-    return a.key > b.key;
-  }
-};
-
-/// Per-thread frontier storage, reused across queries: steady-state
-/// searches push/pop into already-sized vectors instead of reallocating
-/// a fresh priority_queue per query. The explicit push_heap/pop_heap
-/// calls are exactly what std::priority_queue runs internally, so the
-/// pop sequence is unchanged.
-struct HsScratch {
-  std::vector<HsItem> heap;
-  std::vector<double> bound;
-};
-
-HsScratch& HsFrontierScratch() {
-  thread_local HsScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
 KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
                 const Metric& metric, const ApproxContext& approx) {
   PARSIM_CHECK(query.size() == tree.dim());
   PARSIM_CHECK(k >= 1);
   KnnResult result;
-  if (tree.root_id() == kInvalidNodeId) return result;
-  // Early-termination mode: node items are tested against the RELAXED
-  // cutoff bound/node_factor, at push time and again at pop time (the
-  // bound tightens in between, so a pop-time skip saves the page read a
-  // push-time test could not). Dropping a node can only LOSE points —
-  // the surviving bound is never tighter than the exact search's at the
-  // same pops — so the (1+eps) contract of ApproxContext holds, and the
-  // full-k guarantee survives: a skip requires a full bound (k point
-  // keys pushed), and those k points can only pop into the result.
-  const bool node_approx = approx.node_factor > 1.0;
-  std::uint64_t approx_skipped = 0;
-
-  HsScratch& scratch = HsFrontierScratch();
-  std::vector<HsItem>& heap = scratch.heap;
-  // Max-heap of the k smallest point keys pushed so far. A point whose
-  // key exceeds its top can never be popped: at least k point items with
-  // smaller keys are already queued ahead of it, and the k-th of those
-  // terminates the search. Skipping such pushes therefore leaves the pop
-  // sequence — results, page fetches, and distance counts — bit-identical
-  // while keeping the frontier orders of magnitude smaller (the batched
-  // scheduler in src/parallel/batch_knn.cc interleaves many frontiers, so
-  // their total footprint decides cache residency).
-  std::vector<double>& bound = scratch.bound;
-  heap.clear();
-  bound.clear();
-  bound.reserve(k);
-  std::uint64_t pushes = 0;
-  std::uint64_t pops = 0;
-  std::uint64_t skipped = 0;
-  const auto push_point = [&](double key, std::uint32_t id) {
-    if (bound.size() < k) {
-      bound.push_back(key);
-      std::push_heap(bound.begin(), bound.end());
-    } else if (key > bound.front()) {
-      return;
-    } else if (key < bound.front()) {
-      std::pop_heap(bound.begin(), bound.end());
-      bound.back() = key;
-      std::push_heap(bound.begin(), bound.end());
-    }
-    heap.push_back(HsItem{key, true, id});
-    std::push_heap(heap.begin(), heap.end(), HsGreaterKey{});
-    ++pushes;
-  };
-  heap.push_back(HsItem{0.0, false, tree.root_id()});
-  ++pushes;
-  while (!heap.empty() && result.size() < k) {
-    HsItem item;
-    {
-      ScopedPhase phase(Phase::kFrontier);
-      std::pop_heap(heap.begin(), heap.end(), HsGreaterKey{});
-      item = heap.back();
-      heap.pop_back();
-      ++pops;
-      if (item.is_point) {
-        result.push_back(Neighbor{item.ref, metric.FromComparable(item.key)});
-        continue;
-      }
-    }
-    if (node_approx && bound.size() >= k &&
-        item.key > bound.front() / approx.node_factor) {
-      // Never fires on the exact path (factor 1.0): a node whose key
-      // strictly exceeds the bound cannot pop before the k-th point.
-      ++approx_skipped;
-      continue;
-    }
+  // Per-thread frontier storage, reused across queries: steady-state
+  // searches push and pop into already-sized vectors.
+  thread_local HsFrontier frontier;
+  frontier.Reset(k, tree.root_id(), approx.node_factor);
+  NodeId id;
+  while ((id = frontier.NextNode(metric, &result)) != kInvalidNodeId) {
     const Node* node;
     {
       ScopedPhase phase(Phase::kIo);
-      node = &tree.AccessNode(item.ref);
+      node = &tree.AccessNode(id);
     }
-    if (node->IsLeaf()) {
-      // The sweep's threshold is the running k-th best point key: a
-      // candidate strictly above it would be dropped by push_point's
-      // frontier bound anyway, so pruning on it preserves the pop
-      // sequence bit for bit (see src/index/leaf_sweep.h).
-      const LeafBlock& block = tree.LeafBlockOf(*node);
-      tree.ChargeLeafSweep(
-          *node, SweepLeafDistances(
-                     block, query, metric,
-                     [&] {
-                       return bound.size() < k
-                                  ? std::numeric_limits<double>::infinity()
-                                  : bound.front();
-                     },
-                     [&](std::size_t i, double key) {
-                       push_point(key, block.ids[i]);
-                     },
-                     approx.sweep_factor));
-    } else {
-      // Descent fast path: with the result bound full, a child whose
-      // MINDIST strictly exceeds the k-th best point key can never pop
-      // before the search terminates — the >= k queued point items with
-      // keys <= bound.front() all pop first, and the k-th pop ends the
-      // loop. Skipping its insertion (and bailing out of the MINDIST
-      // accumulation the moment it crosses the bound) changes no pops.
-      // Ties MUST still be pushed: a node with key == bound.front()
-      // could pop before an equal-keyed point under the heap's internal
-      // order, and dropping it could change the visit sequence.
-      ScopedPhase phase(Phase::kDescent);
-      const double cut = bound.size() < k
-                             ? std::numeric_limits<double>::infinity()
-                             : bound.front();
-      // The exact cutoff test runs first so cutoff_skipped_nodes keeps
-      // its exact-path meaning (and its bit-identical count at eps=0);
-      // children inside the exact cut but outside the relaxed one are
-      // the approximation's own skips.
-      const double rcut = node_approx ? cut / approx.node_factor : cut;
-      for (const NodeEntry& e : node->entries) {
-        double key;
-        if (MinDistExceeds(e.rect, query, metric, cut, &key)) {
-          ++skipped;
-          continue;
-        }
-        if (node_approx && key > rcut) {
-          ++approx_skipped;
-          continue;
-        }
-        heap.push_back(HsItem{key, false, e.child});
-        std::push_heap(heap.begin(), heap.end(), HsGreaterKey{});
-        ++pushes;
-      }
+    if (!node->IsLeaf()) {
+      frontier.ExpandInterior(*node, query, metric);
+      continue;
     }
+    const LeafBlock& block = tree.LeafBlockOf(*node);
+    tree.ChargeLeafSweep(
+        *node, SweepLeafDistances(
+                   block, query, metric, [&] { return frontier.Cutoff(); },
+                   [&](std::size_t i, double key) {
+                     frontier.PushPoint(key, block.ids[i]);
+                   },
+                   approx.sweep_factor));
   }
-  tree.disk()->RecordFrontier(pushes, pops, skipped, approx_skipped);
+  frontier.Book(&tree.disk()->Sink());
   return result;
 }
 

@@ -61,7 +61,10 @@ struct ApproxContext {
 
 /// Best-first (Hjaltason-Samet) k-NN. Charges page reads and distance
 /// computations to the tree's disk. Supports L1, L2 and Lmax.
-/// `approx` (default: exact) enables the (1+eps)-approximate tier.
+/// `approx` (default: exact) enables the (1+eps)-approximate tier. The
+/// search itself is HsFrontier (src/index/hs_frontier.h), the one the
+/// coalesced round scheduler pauses and resumes; HsKnn runs it to the
+/// end without pausing.
 KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
                 const Metric& metric = Metric(),
                 const ApproxContext& approx = ApproxContext());
@@ -97,8 +100,8 @@ double MinDistComparable(const Rect& rect, PointView query,
 /// all-pairs similarity join (compare against ToComparable(epsilon)).
 double MinDistComparable(const Rect& a, const Rect& b, const Metric& metric);
 
-/// Early-exit MINDIST against a known cutoff (the descent fast path,
-/// shared by HsKnn and the batched scheduler): returns true iff
+/// Early-exit MINDIST against a known cutoff (HsFrontier's descent fast
+/// path): returns true iff
 /// MinDistComparable(rect, query, metric) > cutoff, bailing out of the
 /// per-dimension loop as soon as the partial accumulation — a
 /// nondecreasing sum/max of nonnegative terms — already exceeds it.

@@ -18,8 +18,9 @@
 // rejected — emitted keys, result sets, and page accesses are
 // bit-identical to the exact sweep.
 //
-// Each sweep returns (or fills) LeafSweepStats; callers forward them to
-// TreeBase::ChargeLeafSweep so exact re-ranks meter simulated CPU
+// Each sweep returns (or fills) LeafSweepStats; callers book them with
+// AddLeafSweep (single queries via TreeBase::ChargeLeafSweep) so exact
+// re-ranks meter simulated CPU
 // (distance_computations) and the prune/re-rank/bytes counters reach the
 // per-query stats. The integer bound computations charge no simulated
 // CPU: they are the cost the quantized path removes, and the counters
@@ -37,6 +38,7 @@
 #include "src/geometry/rect.h"
 #include "src/geometry/sq8.h"
 #include "src/index/leaf_block.h"
+#include "src/io/disk_model.h"
 #include "src/util/phase_timer.h"
 
 namespace parsim {
@@ -77,6 +79,21 @@ struct LeafSweepStats {
   /// time still derives from page counts and distance computations.
   std::uint64_t leaf_bytes_scanned = 0;
 };
+
+/// Books one sweep into a stats sink: exact re-ranks as simulated CPU
+/// (distance_computations), the rest as bookkeeping counters. The one
+/// LeafSweepStats -> DiskStats mapping; block_kernel_invocations stays
+/// with the caller, which alone knows how many kernel calls it issued.
+inline void AddLeafSweep(DiskStats* stats, const LeafSweepStats& sweep) {
+  stats->distance_computations += sweep.exact_distances;
+  stats->quantized_pruned += sweep.quantized_pruned;
+  stats->base_pruned += sweep.base_pruned;
+  stats->prefix_pruned += sweep.prefix_pruned;
+  stats->sq8_pruned += sweep.sq8_pruned;
+  stats->reranked += sweep.reranked;
+  stats->leaf_bytes_scanned += sweep.leaf_bytes_scanned;
+  stats->approx_pruned_exactly += sweep.approx_pruned_exactly;
+}
 
 namespace detail {
 

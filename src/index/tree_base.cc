@@ -109,11 +109,7 @@ void TreeBase::ChargeNodeDistances(const Node& node, std::uint64_t n) const {
 
 void TreeBase::ChargeLeafSweep(const Node& node,
                                const LeafSweepStats& sweep) const {
-  SimulatedDisk* disk = ResolveRoute(node).disk;
-  disk->ChargeDistanceComputations(sweep.exact_distances);
-  disk->RecordLeafSweep(sweep.quantized_pruned, sweep.base_pruned,
-                        sweep.prefix_pruned, sweep.sq8_pruned, sweep.reranked,
-                        sweep.leaf_bytes_scanned, sweep.approx_pruned_exactly);
+  AddLeafSweep(&ResolveRoute(node).disk->Sink(), sweep);
 }
 
 void TreeBase::WarmLeafBlocks(ThreadPool* pool) const {

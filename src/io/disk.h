@@ -135,34 +135,15 @@ class SimulatedDisk {
     Sink().distance_computations += n;
   }
 
-  /// Records one leaf sweep's quantization counters (no simulated time:
-  /// these audit the work the SQ8 bound removed or left; exact re-ranks
-  /// are charged separately via ChargeDistanceComputations).
-  void RecordLeafSweep(std::uint64_t pruned, std::uint64_t base,
-                       std::uint64_t prefix, std::uint64_t sq8,
-                       std::uint64_t reranked_points, std::uint64_t bytes,
-                       std::uint64_t approx_exact = 0) {
-    DiskStats& sink = Sink();
-    sink.quantized_pruned += pruned;
-    sink.base_pruned += base;
-    sink.prefix_pruned += prefix;
-    sink.sq8_pruned += sq8;
-    sink.reranked += reranked_points;
-    sink.leaf_bytes_scanned += bytes;
-    sink.approx_pruned_exactly += approx_exact;
-  }
-
-  /// Records one query's HS frontier traffic (no simulated time; audits
-  /// the descent/frontier fast path and the approximate tier's node
-  /// skips).
-  void RecordFrontier(std::uint64_t pushes, std::uint64_t pops,
-                      std::uint64_t skipped_nodes,
-                      std::uint64_t approx_skipped = 0) {
-    DiskStats& sink = Sink();
-    sink.frontier_pushes += pushes;
-    sink.frontier_pops += pops;
-    sink.cutoff_skipped_nodes += skipped_nodes;
-    sink.approx_skipped_nodes += approx_skipped;
+  /// Where charges from the current thread go: the active per-query
+  /// capture's slot for this disk, or the shared cumulative counters.
+  /// Bookkeeping-only counter groups (AddLeafSweep, HsFrontier::Book)
+  /// are added here directly.
+  DiskStats& Sink() {
+    if (QueryCostAccumulator* capture = ActiveCostCapture()) {
+      return capture->slot(id_);
+    }
+    return stats_;
   }
 
   const DiskStats& stats() const { return stats_; }
@@ -186,15 +167,6 @@ class SimulatedDisk {
   void MergeStats(const DiskStats& delta) { stats_ += delta; }
 
  private:
-  /// Where charges from the current thread go: the active per-query
-  /// capture's slot for this disk, or the shared cumulative counters.
-  DiskStats& Sink() {
-    if (QueryCostAccumulator* capture = ActiveCostCapture()) {
-      return capture->slot(id_);
-    }
-    return stats_;
-  }
-
   DiskId id_;
   DiskParameters params_;
   DiskFault fault_;

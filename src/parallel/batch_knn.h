@@ -9,9 +9,10 @@
 // one many-to-many kernel call (Metric::ComparableBlock) over the leaf's
 // SoA block evaluates every member query against every point of the page.
 //
-// Per query, the push/pop sequence of its best-first priority queue is
-// exactly the one the single-query HsKnn would execute, so the returned
-// neighbor lists are bit-identical to per-query execution. The cost
+// Per query, the search is the single-query HsKnn's own HsFrontier
+// (src/index/hs_frontier.h), paused whenever it needs a node and resumed
+// once its group expanded it, so its push/pop sequence — and with it the
+// returned neighbor list — is bit-identical to per-query execution. The cost
 // accounting differs exactly where coalescing saves work: followers of a
 // group record the pages they did NOT read as `coalesced_pages` (and, on
 // a degraded route, still record their replica/unavailable pages so

@@ -1,6 +1,7 @@
 #include "src/parallel/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "src/core/near_optimal.h"
@@ -685,12 +686,31 @@ Status ParallelSearchEngine::TryQuery(PointView query, std::size_t k,
                                       KnnResult* result,
                                       QueryStats* stats) const {
   PARSIM_CHECK(result != nullptr);
+  if (Status valid = ValidateQuery(query, k); !valid.ok()) {
+    result->clear();
+    if (stats != nullptr) *stats = QueryStats{};
+    return valid;
+  }
   QueryStats local;
   *result = Query(query, k, &local);
   if (stats != nullptr) *stats = local;
   if (local.unavailable_pages > 0) {
     return Status::Unavailable(
         "query touched a failed disk with no healthy replica");
+  }
+  return Status::Ok();
+}
+
+Status ParallelSearchEngine::ValidateQuery(PointView query,
+                                           std::size_t k) const {
+  if (query.size() != dim_) {
+    return Status::InvalidArgument("query dimension mismatch");
+  }
+  if (k == 0) return Status::InvalidArgument("k must be at least 1");
+  for (const Scalar x : query) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument("query coordinate is NaN or infinite");
+    }
   }
   return Status::Ok();
 }

@@ -353,8 +353,15 @@ class ParallelSearchEngine {
   /// answered from the simulator's in-memory structures. On success
   /// `*result` holds the k nearest neighbors; on kUnavailable it holds
   /// the answer the healthy system would have given (diagnostics only).
+  /// Caller input ValidateQuery rejects returns kInvalidArgument without
+  /// running the query (`*result` cleared, `*stats` reset).
   Status TryQuery(PointView query, std::size_t k, KnnResult* result,
                   QueryStats* stats = nullptr) const;
+
+  /// Checks caller-supplied k-NN input: the query's dimension, k >= 1,
+  /// and finite coordinates. Ok, or kInvalidArgument naming the first
+  /// violation.
+  Status ValidateQuery(PointView query, std::size_t k) const;
 
   /// Answers every query in `queries` (k-NN, like Query) and returns the
   /// per-query results in order. With `threads` > 1 — or `threads` == 0

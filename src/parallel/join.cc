@@ -659,13 +659,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
   for (std::size_t i = 0; i < num_leaves; ++i) {
     const RowOutput& out = rows[i];
     DiskStats& s = acc->slot(leaves[i].route.disk->id());
-    s.distance_computations += out.sweep.exact_distances;
-    s.quantized_pruned += out.sweep.quantized_pruned;
-    s.base_pruned += out.sweep.base_pruned;
-    s.prefix_pruned += out.sweep.prefix_pruned;
-    s.sq8_pruned += out.sweep.sq8_pruned;
-    s.reranked += out.sweep.reranked;
-    s.leaf_bytes_scanned += out.sweep.leaf_bytes_scanned;
+    AddLeafSweep(&s, out.sweep);
     s.block_kernel_invocations += out.kernels;
     pairs.insert(pairs.end(), out.pairs.begin(), out.pairs.end());
     stats->exact_distances += out.sweep.exact_distances;

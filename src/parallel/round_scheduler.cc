@@ -9,34 +9,6 @@
 
 namespace parsim {
 
-void HsRoundScheduler::QueryState::Push(const Item& item) {
-  queue.push_back(item);
-  std::push_heap(queue.begin(), queue.end(), GreaterKey{});
-  ++frontier_pushes;
-}
-
-HsRoundScheduler::QueryState::Item HsRoundScheduler::QueryState::Pop() {
-  std::pop_heap(queue.begin(), queue.end(), GreaterKey{});
-  const Item item = queue.back();
-  queue.pop_back();
-  ++frontier_pops;
-  return item;
-}
-
-void HsRoundScheduler::QueryState::PushPoint(double key, std::uint32_t id) {
-  if (bound.size() < k) {
-    bound.push_back(key);
-    std::push_heap(bound.begin(), bound.end());
-  } else if (key > bound.front()) {
-    return;
-  } else if (key < bound.front()) {
-    std::pop_heap(bound.begin(), bound.end());
-    bound.back() = key;
-    std::push_heap(bound.begin(), bound.end());
-  }
-  Push(Item{key, true, id});
-}
-
 HsRoundScheduler::HsRoundScheduler(const TreeBase& tree, const Metric& metric,
                                    const ApproxContext& approx,
                                    PhaseAccumulator* phases)
@@ -46,32 +18,11 @@ HsRoundScheduler::HsRoundScheduler(const TreeBase& tree, const Metric& metric,
       phases_(phases),
       dim_(tree.dim()) {}
 
-// Replays HsKnn's main loop until the query finishes or needs a node:
-// points pop into the result, the first node item pauses the query with
-// `request` set (Step fetches and expands it). node_factor > 1 is the
-// approximate tier's early-termination mode: a popped node whose key
-// exceeds the RELAXED cutoff bound/node_factor is dropped instead of
-// requested — exactly HsKnn's pop-time skip, so the page its group would
-// have fetched is saved.
+// Points pop into the result; the first node the frontier needs pauses
+// the query with `request` set (Step fetches and expands it).
 void HsRoundScheduler::Advance(QueryState* q) {
-  ScopedPhase phase(Phase::kFrontier);
-  q->request = kInvalidNodeId;
-  while (q->result.size() < q->k && !q->queue.empty()) {
-    const QueryState::Item item = q->Pop();
-    if (item.is_point) {
-      q->result.push_back(
-          Neighbor{item.ref, metric_.FromComparable(item.key)});
-      continue;
-    }
-    if (approx_.node_factor > 1.0 && q->bound.size() >= q->k &&
-        item.key > q->bound.front() / approx_.node_factor) {
-      ++q->approx_skipped_nodes;
-      continue;
-    }
-    q->request = item.ref;
-    return;
-  }
-  q->done = true;
+  q->request = q->frontier.NextNode(metric_, &q->result);
+  if (q->request == kInvalidNodeId) q->done = true;
 }
 
 void HsRoundScheduler::ExpireState(QueryState* q) {
@@ -97,29 +48,16 @@ std::size_t HsRoundScheduler::Add(PointView query, std::size_t k,
     states_.emplace_back();
   }
   QueryState& s = states_[slot];
-  s.queue.clear();
-  s.bound.clear();
-  s.bound.reserve(k);
+  s.frontier.Reset(k, tree_.root_id(), approx_.node_factor);
   s.query.assign(query.begin(), query.end());
   s.result.clear();
   s.acc = acc;
-  s.k = k;
   s.max_pages = max_pages;
-  s.request = kInvalidNodeId;
   s.live = true;
   s.done = false;
   s.expired = false;
-  s.frontier_pushes = 0;
-  s.frontier_pops = 0;
-  s.cutoff_skipped_nodes = 0;
-  s.approx_skipped_nodes = 0;
   ++occupied_;
-  if (tree_.root_id() != kInvalidNodeId) {
-    s.Push(QueryState::Item{0.0, false, tree_.root_id()});
-    Advance(&s);
-  } else {
-    s.done = true;
-  }
+  Advance(&s);
   if (!s.done) ++running_;
   return slot;
 }
@@ -136,12 +74,8 @@ KnnResult HsRoundScheduler::Take(std::size_t slot) {
   QueryState& s = states_[slot];
   PARSIM_CHECK(s.live && s.done);
   // Frontier traffic books into the query's host slot — the same sink
-  // HsKnn's RecordFrontier uses for single-query execution.
-  DiskStats& hs = s.acc->slot(s.acc->num_slots() - 1);
-  hs.frontier_pushes += s.frontier_pushes;
-  hs.frontier_pops += s.frontier_pops;
-  hs.cutoff_skipped_nodes += s.cutoff_skipped_nodes;
-  hs.approx_skipped_nodes += s.approx_skipped_nodes;
+  // single-query HsKnn books into.
+  s.frontier.Book(&s.acc->slot(s.acc->num_slots() - 1));
   s.live = false;
   s.acc = nullptr;
   --occupied_;
@@ -250,27 +184,20 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
       SweepLeafBlockMany(
           block, qbuf.data(), members, metric_,
           [&](std::size_t m) {
-            // Member m's running k-th best point key — HsKnn's bound.
-            // Emits only tighten m's own bound, so reading it per
-            // candidate matches the single-query sweep exactly.
-            return states_[requests_[g.begin + m].second].Cutoff();
+            // Member m's running k-th best point key. Emits only
+            // tighten m's own bound, so reading it per candidate matches
+            // the single-query sweep exactly.
+            return states_[requests_[g.begin + m].second].frontier.Cutoff();
           },
           [&](std::size_t m, std::size_t i, double key) {
-            states_[requests_[g.begin + m].second].PushPoint(key,
-                                                            block.ids[i]);
+            states_[requests_[g.begin + m].second].frontier.PushPoint(
+                key, block.ids[i]);
           },
           sweeps.data(), approx_.sweep_factor);
       for (std::size_t m = 0; m < members; ++m) {
         const std::size_t qi = requests_[g.begin + m].second;
         DiskStats& s = states_[qi].acc->slot(slot);
-        s.distance_computations += sweeps[m].exact_distances;
-        s.quantized_pruned += sweeps[m].quantized_pruned;
-        s.base_pruned += sweeps[m].base_pruned;
-        s.prefix_pruned += sweeps[m].prefix_pruned;
-        s.sq8_pruned += sweeps[m].sq8_pruned;
-        s.reranked += sweeps[m].reranked;
-        s.leaf_bytes_scanned += sweeps[m].leaf_bytes_scanned;
-        s.approx_pruned_exactly += sweeps[m].approx_pruned_exactly;
+        AddLeafSweep(&s, sweeps[m]);
         s.block_kernel_invocations += 1;
         g.pruned += sweeps[m].quantized_pruned;
         g.scored += sweeps[m].exact_distances;
@@ -278,34 +205,8 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
       }
     } else {
       for (std::size_t m = 0; m < members; ++m) {
-        const std::size_t qi = requests_[g.begin + m].second;
-        QueryState& state = states_[qi];
-        const PointView qv(state.query);
-        {
-          ScopedPhase phase(Phase::kDescent);
-          // Fast path: children whose MINDIST strictly exceeds the
-          // member's running k-th-best cutoff can never pop before the
-          // k-th result and are dropped before heap insertion. Ties
-          // MUST still push to preserve the pop sequence (see HsKnn).
-          // Exact cut first (keeps cutoff_skipped_nodes' exact-path
-          // meaning), then the approximate tier's relaxed cut — same
-          // two-step as HsKnn's descent.
-          const double cut = state.Cutoff();
-          const double rcut =
-              approx_.node_factor > 1.0 ? cut / approx_.node_factor : cut;
-          for (const NodeEntry& e : node.entries) {
-            double key;
-            if (MinDistExceeds(e.rect, qv, metric_, cut, &key)) {
-              ++state.cutoff_skipped_nodes;
-              continue;
-            }
-            if (approx_.node_factor > 1.0 && key > rcut) {
-              ++state.approx_skipped_nodes;
-              continue;
-            }
-            state.Push(QueryState::Item{key, false, e.child});
-          }
-        }
+        QueryState& state = states_[requests_[g.begin + m].second];
+        state.frontier.ExpandInterior(node, PointView(state.query), metric_);
         Advance(&state);
       }
     }

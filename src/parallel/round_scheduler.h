@@ -9,7 +9,8 @@
 //   * continuous admission — Add() may be called between any two rounds;
 //     a query's push/pop sequence depends only on its own frontier, so
 //     joining or leaving a round never changes any other query's result
-//     (each remains bit-identical to single-query HsKnn);
+//     (each remains bit-identical to single-query HsKnn, which drives the
+//     same HsFrontier — src/index/hs_frontier.h — without pausing);
 //   * per-query k — members of one round may search for different k;
 //   * per-query page budgets — a query whose accumulated page work
 //     reaches its budget is expired at round granularity: it stops
@@ -28,11 +29,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "src/geometry/metric.h"
 #include "src/geometry/point.h"
+#include "src/index/hs_frontier.h"
 #include "src/index/knn.h"
 #include "src/index/tree_base.h"
 #include "src/io/cost_capture.h"
@@ -95,7 +96,7 @@ class HsRoundScheduler {
   void Expire(std::size_t slot);
 
   /// Finalizes a finished or expired slot: books its frontier counters
-  /// into the accumulator's host slot (HsKnn's RecordFrontier sink),
+  /// into the accumulator's host slot (where single-query HsKnn books),
   /// frees the slot for reuse, and moves the result out.
   KnnResult Take(std::size_t slot);
 
@@ -105,35 +106,14 @@ class HsRoundScheduler {
   std::size_t running() const { return running_; }
 
  private:
-  /// One query's pausable best-first search; the queue/bound structures
-  /// replay HsKnn exactly (see src/parallel/batch_knn.h).
+  /// One query's pausable best-first search: the shared HS frontier
+  /// (src/index/hs_frontier.h) plus the slot's scheduling state.
   struct QueryState {
-    struct Item {
-      double key;
-      bool is_point;
-      std::uint32_t ref;  // NodeId or PointId
-    };
-    struct GreaterKey {
-      bool operator()(const Item& a, const Item& b) const {
-        return a.key > b.key;
-      }
-    };
-    /// Binary min-heap via push_heap/pop_heap with GreaterKey — the
-    /// exact algorithm std::priority_queue runs internally, in reusable
-    /// storage that is reserved once and never reallocated in steady
-    /// state. Identical pop sequence.
-    std::vector<Item> queue;
-    /// Max-heap of the k smallest point keys pushed so far — HsKnn's
-    /// pruning bound. Points beyond it can never pop before the k-th
-    /// result does, so skipping them is invisible to the pop sequence
-    /// but keeps the frontier small enough that a wide round stays
-    /// cache resident.
-    std::vector<double> bound;
+    HsFrontier frontier;
     /// This slot's query coordinates (owned; dim() scalars).
     std::vector<Scalar> query;
     KnnResult result;
     QueryCostAccumulator* acc = nullptr;
-    std::size_t k = 0;
     /// Page budget; 0 = unbudgeted.
     std::uint64_t max_pages = 0;
     /// The node the frontier needs next; kInvalidNodeId while none.
@@ -141,25 +121,9 @@ class HsRoundScheduler {
     bool live = false;
     bool done = false;
     bool expired = false;
-    /// This query's frontier traffic, booked into its host stats slot by
-    /// Take (matches HsKnn's RecordFrontier accounting).
-    std::uint64_t frontier_pushes = 0;
-    std::uint64_t frontier_pops = 0;
-    std::uint64_t cutoff_skipped_nodes = 0;
-    std::uint64_t approx_skipped_nodes = 0;
-
-    void Push(const Item& item);
-    Item Pop();
-    void PushPoint(double key, std::uint32_t id);
-    /// HsKnn's running comparable-space cutoff: the k-th best point key,
-    /// +inf while fewer than k points were pushed.
-    double Cutoff() const {
-      return bound.size() < k ? std::numeric_limits<double>::infinity()
-                              : bound.front();
-    }
   };
 
-  /// Replays HsKnn's main loop until the query finishes or needs a node.
+  /// Runs the query's frontier until it finishes or needs a node.
   void Advance(QueryState* q);
   void ExpireState(QueryState* q);
 

@@ -43,9 +43,14 @@ Status QueryService::Submit(PointView query,
                             const ServiceQueryOptions& query_options,
                             std::future<ServedResult>* result) {
   PARSIM_CHECK(result != nullptr);
-  PARSIM_CHECK(query.size() == engine_.dim());
-  PARSIM_CHECK(query_options.k >= 1);
-  PARSIM_CHECK(query_options.deadline_ms >= 0.0);
+  if (Status valid = engine_.ValidateQuery(query, query_options.k);
+      !valid.ok()) {
+    return valid;
+  }
+  // Negated so NaN fails the test too.
+  if (!(query_options.deadline_ms >= 0.0)) {
+    return Status::InvalidArgument("deadline_ms must be >= 0");
+  }
   Pending pending;
   pending.coords.assign(query.begin(), query.end());
   pending.opts = query_options;
@@ -143,11 +148,13 @@ void QueryService::PumpOnce() {
     if (inflight_.size() <= slot) inflight_.resize(slot + 1);
     auto f = std::make_unique<InFlight>();
     f->admit = admit_time;
+    // A deadline beyond the clock's range (+inf included) never fires.
+    const std::chrono::duration<double, std::milli> deadline(
+        p.opts.deadline_ms);
     f->deadline =
-        p.opts.deadline_ms > 0.0
-            ? p.submit + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 p.opts.deadline_ms))
+        p.opts.deadline_ms > 0.0 && deadline < Clock::time_point::max() -
+                                                   p.submit
+            ? p.submit + std::chrono::duration_cast<Clock::duration>(deadline)
             : Clock::time_point::max();
     f->acc = std::move(acc);
     f->pending = std::move(p);

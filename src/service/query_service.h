@@ -27,9 +27,10 @@
 //     next round instead of waiting behind a bulk scan's whole batch.
 //
 // Results are bit-identical to ParallelSearchEngine::QueryBatch (and
-// single-query HsKnn) whenever no deadline fires: a query's push/pop
-// sequence depends only on its own frontier, never on round composition
-// (see src/parallel/round_scheduler.h).
+// single-query HsKnn, which drives the same HsFrontier) whenever no
+// deadline fires: a query's push/pop sequence depends only on its own
+// frontier, never on round composition (see
+// src/parallel/round_scheduler.h).
 //
 // Threading: Submit is safe from any thread. The scheduler runs either
 // on the internal dispatcher thread (Start/Stop) or inline on the
@@ -72,7 +73,8 @@ struct ServiceQueryOptions {
   /// buffer hits + coalesced rides, summed over disks — see
   /// QueryCostAccumulator::TotalPagesTouched) reach this. 0 = none.
   std::uint64_t max_pages = 0;
-  /// Wall-clock deadline from Submit, in milliseconds. 0 = none.
+  /// Wall-clock deadline from Submit, in milliseconds. 0, or a value
+  /// beyond the clock's range (+inf included), = none.
   double deadline_ms = 0.0;
 };
 
@@ -145,7 +147,9 @@ class QueryService {
 
   /// Submits one k-NN query. On admission (Ok) `*result` receives a
   /// future that resolves when the query completes or expires; on a full
-  /// queue returns kResourceExhausted and leaves `*result` alone.
+  /// queue returns kResourceExhausted and leaves `*result` alone. Input
+  /// the engine's ValidateQuery rejects, or a negative or NaN
+  /// deadline_ms, returns kInvalidArgument (not counted as rejected).
   /// Thread-safe.
   Status Submit(PointView query, const ServiceQueryOptions& query_options,
                 std::future<ServedResult>* result);

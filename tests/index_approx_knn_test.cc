@@ -283,6 +283,56 @@ TEST_F(ApproxKnnTest, DeterministicAcrossThreadCounts) {
   }
 }
 
+// Both executors drive one shared HS frontier, so with the approximate
+// tier on (SQ8 + cascade sweeps, relaxed cuts, pop-time node skips) the
+// coalesced batch must replay each query's single-query search exactly:
+// the same answer, the same frontier traffic and sweep split, and pages
+// conserved (pages read + pages ridden along == single-query pages).
+TEST_F(ApproxKnnTest, CoalescedMatchesPerQueryWithApproxTier) {
+  const std::size_t k = 9;
+  for (const MetricKind kind : kAllKinds) {
+    SCOPED_TRACE(MetricKindToString(kind));
+    for (const double eps : {0.0, 0.5, 2.0}) {
+      SCOPED_TRACE(eps);
+      EngineConfig config{kind};
+      config.approx = true;
+      config.epsilon = eps;
+      const auto engine = MakeEngine(data_, config);
+      std::vector<QueryStats> batch_stats;
+      const auto batch = engine->QueryBatch(queries_, k, &batch_stats, 2);
+      ASSERT_EQ(batch.size(), queries_.size());
+      std::uint64_t approx_skipped = 0;
+      for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
+        SCOPED_TRACE(qi);
+        QueryStats qs;
+        const KnnResult single = engine->Query(queries_[qi], k, &qs);
+        ASSERT_EQ(batch[qi].size(), single.size());
+        for (std::size_t i = 0; i < single.size(); ++i) {
+          EXPECT_EQ(batch[qi][i].id, single[i].id) << "rank " << i;
+          EXPECT_EQ(batch[qi][i].distance, single[i].distance) << "rank " << i;
+        }
+        const QueryStats& bs = batch_stats[qi];
+        EXPECT_EQ(bs.frontier_pushes, qs.frontier_pushes);
+        EXPECT_EQ(bs.frontier_pops, qs.frontier_pops);
+        EXPECT_EQ(bs.cutoff_skipped_nodes, qs.cutoff_skipped_nodes);
+        EXPECT_EQ(bs.approx_skipped_nodes, qs.approx_skipped_nodes);
+        EXPECT_EQ(bs.approx_pruned_exactly, qs.approx_pruned_exactly);
+        EXPECT_EQ(bs.quantized_pruned, qs.quantized_pruned);
+        EXPECT_EQ(bs.base_pruned, qs.base_pruned);
+        EXPECT_EQ(bs.prefix_pruned, qs.prefix_pruned);
+        EXPECT_EQ(bs.sq8_pruned, qs.sq8_pruned);
+        EXPECT_EQ(bs.reranked, qs.reranked);
+        EXPECT_EQ(bs.total_pages + bs.directory_pages + bs.coalesced_reads,
+                  qs.total_pages + qs.directory_pages);
+        approx_skipped += qs.approx_skipped_nodes;
+      }
+      // The comparison must cover the approximate branches, not only
+      // the exact path they are gated behind.
+      if (eps >= 2.0) EXPECT_GT(approx_skipped, 0u);
+    }
+  }
+}
+
 TEST_F(ApproxKnnTest, LargeEpsilonActuallySkipsWork) {
   EngineConfig exact_config;
   EngineConfig approx_config;

@@ -2,6 +2,7 @@
 // answer identity under failover, kUnavailable reporting, and the
 // healthy-vs-degraded time accounting.
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -166,6 +167,54 @@ TEST_F(DegradedQueryTest, NoReplicasFailureReportsUnavailableWithoutCrash) {
   }
   EXPECT_TRUE(saw_unavailable)
       << "no query touched the failed disk; workload too small";
+}
+
+// Malformed caller input is a Status, not an abort, on every
+// architecture and under a fault plan alike: TryQuery checks it before
+// any traversal and hands back an empty answer.
+TEST_F(DegradedQueryTest, MalformedQueryReturnsInvalidArgument) {
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (const Architecture architecture :
+       {Architecture::kSharedTree, Architecture::kFederatedTrees,
+        Architecture::kFederatedScan}) {
+    SCOPED_TRACE(static_cast<int>(architecture));
+    const auto engine = MakeEngine(true, architecture, data_);
+    FaultPlan plan(kDisks);
+    plan.FailDisk(2);
+    engine->SetFaultPlan(plan);
+
+    const PointView good = queries_[0];
+    std::vector<Scalar> short_query(good.begin(), good.end() - 1);
+    std::vector<Scalar> nan_query(good.begin(), good.end());
+    nan_query[1] = kNaN;
+    std::vector<Scalar> inf_query(good.begin(), good.end());
+    inf_query[kDim - 1] = -kInf;
+    const struct {
+      const char* what;
+      PointView query;
+      std::size_t k;
+    } cases[] = {{"wrong dimension", PointView(short_query), kK},
+                 {"k == 0", good, 0},
+                 {"NaN coordinate", PointView(nan_query), kK},
+                 {"infinite coordinate", PointView(inf_query), kK}};
+    for (const auto& c : cases) {
+      SCOPED_TRACE(c.what);
+      KnnResult result = {Neighbor{7, 1.0}};
+      QueryStats stats;
+      stats.total_pages = 99;
+      const Status status = engine->TryQuery(c.query, c.k, &result, &stats);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_TRUE(result.empty());
+      EXPECT_EQ(stats.total_pages, 0u);
+    }
+    // Well-formed input runs: Ok, or kUnavailable where the failed disk
+    // has no replica (the federated architectures).
+    KnnResult result;
+    EXPECT_NE(engine->TryQuery(good, kK, &result).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.size(), kK);
+  }
 }
 
 TEST_F(DegradedQueryTest, PrimaryAndReplicaBothFailedGoesUnavailable) {

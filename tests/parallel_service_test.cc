@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -145,6 +146,65 @@ TEST(QueryServiceTest, BackpressureRejectsWhenQueueFull) {
   EXPECT_EQ(metrics.submitted, 4u);
   EXPECT_EQ(metrics.rejected, 6u);
   EXPECT_EQ(metrics.completed, 4u);
+}
+
+// One malformed request from any client is its own kInvalidArgument,
+// never a process abort, and never counts as backpressure.
+TEST(QueryServiceTest, MalformedSubmitReturnsInvalidArgument) {
+  const PointSet data = GenerateUniform(1000, 4, 9025);
+  const PointSet queries = GenerateUniformQueries(1, 4, 9026);
+  const auto engine = MakeEngine(data, 4);
+  QueryService service(*engine);
+
+  const PointView good = queries[0];
+  std::vector<Scalar> long_query(good.begin(), good.end());
+  long_query.push_back(0.5f);
+  std::vector<Scalar> nan_query(good.begin(), good.end());
+  nan_query[0] = std::numeric_limits<float>::quiet_NaN();
+  std::vector<Scalar> inf_query(good.begin(), good.end());
+  inf_query[2] = std::numeric_limits<float>::infinity();
+  ServiceQueryOptions zero_k;
+  zero_k.k = 0;
+  ServiceQueryOptions negative_deadline;
+  negative_deadline.deadline_ms = -1.0;
+  ServiceQueryOptions nan_deadline;
+  nan_deadline.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* what;
+    PointView query;
+    ServiceQueryOptions opts;
+  } cases[] = {{"wrong dimension", PointView(long_query), {}},
+               {"k == 0", good, zero_k},
+               {"NaN coordinate", PointView(nan_query), {}},
+               {"infinite coordinate", PointView(inf_query), {}},
+               {"negative deadline", good, negative_deadline},
+               {"NaN deadline", good, nan_deadline}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::future<ServedResult> future;
+    const Status s = service.Submit(c.query, c.opts, &future);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(future.valid());
+  }
+
+  // Well-formed requests still run, an infinite deadline meaning "none".
+  ServiceQueryOptions no_deadline;
+  no_deadline.deadline_ms = std::numeric_limits<double>::infinity();
+  std::future<ServedResult> future;
+  ASSERT_TRUE(service.Submit(good, no_deadline, &future).ok());
+  EXPECT_EQ(service.Drain(), 1u);
+  const ServedResult served = future.get();
+  EXPECT_TRUE(served.status.ok());
+  const KnnResult direct = engine->Query(good, no_deadline.k);
+  ASSERT_EQ(served.neighbors.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(served.neighbors[i].id, direct[i].id);
+    EXPECT_EQ(served.neighbors[i].distance, direct[i].distance);
+  }
+  const ServiceMetrics metrics = service.metrics();
+  EXPECT_EQ(metrics.submitted, 1u);
+  EXPECT_EQ(metrics.rejected, 0u);
+  EXPECT_EQ(metrics.completed, 1u);
 }
 
 TEST(QueryServiceTest, PageBudgetStopsEarlyWithTruePrefix) {

@@ -11,10 +11,14 @@
 #   4. Smoke run of every microbench (seconds-scale workloads): their
 #      built-in identity and invariant checks run on every CI pass, not
 #      just when someone regenerates the BENCH_*.json files.
+#   5. Release build of the repository benchmark (perfbench/) + its
+#      self-check binary: the benchmark calls library internals
+#      (HsKnn, CoalescedHsBatch, SweepLeafDistances, ...), so an API
+#      change that breaks its build fails here.
 #
 # Usage: tools/ci.sh            (from anywhere; builds into build-ci/,
-#                                build-asan/ and build-tsan/ next to the
-#                                sources)
+#                                build-asan/, build-tsan/ and
+#                                build-perfbench/ next to the sources)
 #        JOBS=8 tools/ci.sh     (override build/test parallelism)
 
 set -euo pipefail
@@ -22,12 +26,12 @@ cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 
-echo "== [1/4] Release build + full suite =="
+echo "== [1/5] Release build + full suite =="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "== [2/4] ASAN+UBSAN build + full suite =="
+echo "== [2/5] ASAN+UBSAN build + full suite =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
@@ -43,7 +47,7 @@ ASAN_OPTIONS="detect_leaks=1:abort_on_error=1:malloc_context_size=2:quarantine_s
 UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "== [3/4] TSAN build + concurrency tests =="
+echo "== [3/5] TSAN build + concurrency tests =="
 # io_buffer_pool_test hammers the sharded pool from raw threads;
 # parallel_concurrency_test covers concurrent buffered batches;
 # parallel_batch_coalesced_test runs the coalesced round scheduler (and
@@ -83,7 +87,7 @@ for t in "${TSAN_TESTS[@]}"; do
     "./build-tsan/tests/${t}"
 done
 
-echo "== [4/4] microbench smoke lane =="
+echo "== [4/5] microbench smoke lane =="
 # Seconds-scale workloads; each bench exits nonzero if its bit-identity
 # or page-conservation checks fail.
 MICROBENCHES=(microbench_query_parallel microbench_buffer_pool
@@ -99,5 +103,10 @@ for b in "${MICROBENCHES[@]}"; do
     echo "-- smoke: ${b}"
     (cd build-ci && "./bench/${b}" --smoke)
 done
+
+echo "== [5/5] repository benchmark build + self-check =="
+cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j "$JOBS"
+./build-perfbench/perfbench_selftest
 
 echo "ci: all green"
