@@ -1,6 +1,7 @@
 // Microbenchmarks of the core kernels: the O(d) coloring function, the
-// Hilbert encoder, bucket routing, the folding table, and engine query
-// latency (wall-clock, not simulated time).
+// Hilbert encoder, bucket routing, the folding table, the descent's
+// MINDIST kernel, and engine query latency (wall-clock, not simulated
+// time).
 
 #include "bench/bench_common.h"
 
@@ -72,6 +73,60 @@ void BM_SquaredL2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SquaredL2)->Arg(15)->Arg(64);
+
+// MINDIST from a query to every child of one full directory page, per
+// rectangle (counter s_per_rect): arg 1 = 0 runs the one-to-many kernel
+// over the node's DirBlock (what HsFrontier::ExpandInterior calls), 1 runs
+// MinDistComparable over the AoS entries, rect by rect.
+void BM_DirMinDist(benchmark::State& state) {
+  const std::size_t d = static_cast<std::size_t>(state.range(0));
+  const bool per_rect = state.range(1) != 0;
+  const std::size_t count = DirCapacityPerPage(d);
+  Rng rng(42);
+  Node node;
+  node.id = 0;
+  node.level = 1;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<Scalar> lo(d), hi(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      lo[j] = static_cast<Scalar>(rng.NextDouble() * 0.7);
+      hi[j] = lo[j] + static_cast<Scalar>(rng.NextDouble() * 0.3);
+    }
+    node.entries.push_back(
+        NodeEntry{Rect(std::move(lo), std::move(hi)), static_cast<NodeId>(i)});
+  }
+  DirBlock block;
+  block.BuildFrom(node, d);
+  const PointSet queries = GenerateUniform(64, d, 43);
+  const Metric metric(MetricKind::kL2);
+  std::vector<double> keys(count);
+  std::size_t qi = 0;
+  for (auto _ : state) {
+    const PointView q = queries[qi++ % queries.size()];
+    if (per_rect) {
+      for (std::size_t i = 0; i < count; ++i) {
+        keys[i] = MinDistComparable(node.entries[i].rect, q, metric);
+      }
+    } else {
+      metric.MinDistMany(q, block.lo.data(), block.hi.data(), count,
+                         block.stride, keys.data());
+    }
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["s_per_rect"] = benchmark::Counter(
+      static_cast<double>(count),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetLabel(per_rect ? "MinDistComparable" : "MinDistMany");
+}
+BENCHMARK(BM_DirMinDist)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({32, 0})
+    ->Args({32, 1});
 
 void BM_EngineQueryWallClock(benchmark::State& state) {
   const std::size_t d = 15;

@@ -16,7 +16,8 @@ ThroughputResult SimulateThroughput(const ParallelSearchEngine& engine,
   const double page_ms =
       engine.options().disk_parameters.PageAccessMs();
 
-  // Prebuild every leaf block (and SQ8 mirror) before the clock starts:
+  // Prebuild every block (leaf blocks with their SQ8 mirrors, interior
+  // DirBlocks) before the clock starts:
   // the harness measures steady-state query throughput, not first-touch
   // construction of derived block state.
   engine.WarmLeafBlocks(execution_threads);

@@ -1220,6 +1220,131 @@ std::size_t Sq8MadManyUnderUnrolled(const std::uint8_t* query,
   return n;
 }
 
+// ---------------------------------------------------------------------
+// One-query-to-many-rectangles MINDIST (Metric::MinDistMany) over
+// dimension-major lo/hi rows. Every lane replays MinDistComparable's
+// scalar loop (src/index/knn.cc): the gap max(max(lo - q, q - hi), 0) in
+// doubles, then sum (L1), sum of squares (L2) or max (Lmax) in dimension
+// order. Lanes run across rectangles, never across dimensions, so no
+// reduction is reassociated and every value is bit-identical to the
+// scalar one. The AVX2 path is compiled for "avx2" WITHOUT "fma": GCC
+// contracts a * b + c into an FMA by default (-ffp-contract=fast) when
+// the target allows it, and a fused L2 step would round differently.
+// ---------------------------------------------------------------------
+
+using RectManyKernel = void (*)(const float*, std::size_t, const float*,
+                                const float*, std::size_t, std::size_t,
+                                double*);
+
+/// One dimension's MINDIST gap, with std::max operands in the order the
+/// scalar MINDIST loops use (NaN and signed zeros then select alike).
+inline double RectGap(float lo, float q, float hi) {
+  const double below = static_cast<double>(lo) - static_cast<double>(q);
+  const double above = static_cast<double>(q) - static_cast<double>(hi);
+  return std::max(std::max(below, above), 0.0);
+}
+
+template <MetricKind kKind>
+void MinDistManyReference(const float* q, std::size_t dim, const float* lo,
+                          const float* hi, std::size_t count,
+                          std::size_t stride, double* out) {
+  std::fill(out, out + count, 0.0);
+  for (std::size_t j = 0; j < dim; ++j) {
+    const float* l = lo + j * stride;
+    const float* h = hi + j * stride;
+    for (std::size_t i = 0; i < count; ++i) {
+      const double gap = RectGap(l[i], q[j], h[i]);
+      if constexpr (kKind == MetricKind::kL2) {
+        out[i] += gap * gap;
+      } else if constexpr (kKind == MetricKind::kL1) {
+        out[i] += gap;
+      } else {
+        out[i] = std::max(out[i], gap);
+      }
+    }
+  }
+}
+
+#ifdef PARSIM_METRIC_X86
+
+// _mm256_max_pd(a, b) is (a > b) ? a : b, so std::max(x, y) — that is
+// (x < y) ? y : x — is _mm256_max_pd(y, x), NaN and equal operands
+// included.
+template <MetricKind kKind, std::size_t kVectors>
+__attribute__((target("avx2"))) inline void MinDistLanesAvx2(
+    const float* q, std::size_t dim, const float* lo, const float* hi,
+    std::size_t stride, std::size_t valid, double* out) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d acc[kVectors];
+  for (std::size_t v = 0; v < kVectors; ++v) acc[v] = zero;
+  for (std::size_t j = 0; j < dim; ++j) {
+    const __m256d qj = _mm256_set1_pd(static_cast<double>(q[j]));
+    const float* l = lo + j * stride;
+    const float* h = hi + j * stride;
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      const __m256d below =
+          _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(l + 4 * v)), qj);
+      const __m256d above =
+          _mm256_sub_pd(qj, _mm256_cvtps_pd(_mm_loadu_ps(h + 4 * v)));
+      const __m256d gap =
+          _mm256_max_pd(zero, _mm256_max_pd(above, below));
+      if constexpr (kKind == MetricKind::kL2) {
+        acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(gap, gap));
+      } else if constexpr (kKind == MetricKind::kL1) {
+        acc[v] = _mm256_add_pd(acc[v], gap);
+      } else {
+        acc[v] = _mm256_max_pd(gap, acc[v]);
+      }
+    }
+  }
+  if (valid == 4 * kVectors) {
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      _mm256_storeu_pd(out + 4 * v, acc[v]);
+    }
+    return;
+  }
+  alignas(32) double lanes[4 * kVectors];
+  for (std::size_t v = 0; v < kVectors; ++v) {
+    _mm256_store_pd(lanes + 4 * v, acc[v]);
+  }
+  std::memcpy(out, lanes, valid * sizeof(double));
+}
+
+/// Sixteen rectangles (four accumulators) per pass; the tail runs one
+/// pass over just enough whole vectors, so reads never pass `stride`.
+template <MetricKind kKind>
+__attribute__((target("avx2"))) void MinDistManyAvx2(
+    const float* q, std::size_t dim, const float* lo, const float* hi,
+    std::size_t count, std::size_t stride, double* out) {
+  std::size_t i = 0;
+  for (; i + 16 <= count; i += 16) {
+    MinDistLanesAvx2<kKind, 4>(q, dim, lo + i, hi + i, stride, 16, out + i);
+  }
+  const std::size_t rest = count - i;
+  switch ((rest + 3) / 4) {
+    case 0:
+      break;
+    case 1:
+      MinDistLanesAvx2<kKind, 1>(q, dim, lo + i, hi + i, stride, rest,
+                                 out + i);
+      break;
+    case 2:
+      MinDistLanesAvx2<kKind, 2>(q, dim, lo + i, hi + i, stride, rest,
+                                 out + i);
+      break;
+    case 3:
+      MinDistLanesAvx2<kKind, 3>(q, dim, lo + i, hi + i, stride, rest,
+                                 out + i);
+      break;
+    default:
+      MinDistLanesAvx2<kKind, 4>(q, dim, lo + i, hi + i, stride, rest,
+                                 out + i);
+      break;
+  }
+}
+
+#endif  // PARSIM_METRIC_X86
+
 struct KernelTable {
   PairKernel squared_l2;
   PairKernel l1;
@@ -1241,6 +1366,10 @@ struct KernelTable {
   Sq8PairFn sq8_sad;
   Sq8PairFn sq8_ssd;
   Sq8PairFn sq8_mad;
+  /// One-query-to-many-rectangles MINDIST (the descent's kernel).
+  RectManyKernel mindist_l1_many;
+  RectManyKernel mindist_l2_many;
+  RectManyKernel mindist_lmax_many;
   bool simd;
 };
 
@@ -1254,6 +1383,9 @@ KernelTable PickKernels() {
             Sq8SadManyAvx2,       Sq8SsdManyAvx2,      Sq8MadManyAvx2,
             Sq8SadManyUnderAvx2,  Sq8SsdManyUnderAvx2, Sq8MadManyUnderAvx2,
             Sq8SadAvx2,           Sq8SsdAvx2,          Sq8MadAvx2,
+            MinDistManyAvx2<MetricKind::kL1>,
+            MinDistManyAvx2<MetricKind::kL2>,
+            MinDistManyAvx2<MetricKind::kLmax>,
             /*simd=*/true};
   }
 #endif
@@ -1263,6 +1395,9 @@ KernelTable PickKernels() {
           Sq8SadManyUnderUnrolled, Sq8SsdManyUnderUnrolled,
           Sq8MadManyUnderUnrolled,
           Sq8SadUnrolled,          Sq8SsdUnrolled,       Sq8MadUnrolled,
+          MinDistManyReference<MetricKind::kL1>,
+          MinDistManyReference<MetricKind::kL2>,
+          MinDistManyReference<MetricKind::kLmax>,
           /*simd=*/false};
 }
 
@@ -1276,6 +1411,25 @@ const KernelTable& Kernels() {
 namespace detail {
 
 bool SimdEnabled() { return Kernels().simd; }
+
+void MinDistManyScalar(MetricKind kind, PointView query, const Scalar* lo,
+                       const Scalar* hi, std::size_t count,
+                       std::size_t stride, double* out) {
+  PARSIM_DCHECK(stride % kRectBlockLanes == 0 && stride >= count);
+  const float* q = query.data();
+  switch (kind) {
+    case MetricKind::kL1:
+      return MinDistManyReference<MetricKind::kL1>(q, query.size(), lo, hi,
+                                                   count, stride, out);
+    case MetricKind::kL2:
+      return MinDistManyReference<MetricKind::kL2>(q, query.size(), lo, hi,
+                                                   count, stride, out);
+    case MetricKind::kLmax:
+      return MinDistManyReference<MetricKind::kLmax>(q, query.size(), lo,
+                                                     hi, count, stride, out);
+  }
+  PARSIM_UNREACHABLE();
+}
 
 }  // namespace detail
 
@@ -1369,6 +1523,27 @@ void Metric::ComparableMany(PointView query, const Scalar* points,
   for (std::size_t i = 0; i < count; ++i) {
     out[i] = kernel(q, points + i * dim, dim);
   }
+}
+
+void Metric::MinDistMany(PointView query, const Scalar* lo, const Scalar* hi,
+                         std::size_t count, std::size_t stride,
+                         double* out) const {
+  PARSIM_DCHECK(stride % kRectBlockLanes == 0 && stride >= count);
+  RectManyKernel kernel;
+  switch (kind_) {
+    case MetricKind::kL1:
+      kernel = Kernels().mindist_l1_many;
+      break;
+    case MetricKind::kL2:
+      kernel = Kernels().mindist_l2_many;
+      break;
+    case MetricKind::kLmax:
+      kernel = Kernels().mindist_lmax_many;
+      break;
+    default:
+      PARSIM_UNREACHABLE();
+  }
+  kernel(query.data(), query.size(), lo, hi, count, stride, out);
 }
 
 void Metric::ComparableBlock(const Scalar* queries, std::size_t num_queries,

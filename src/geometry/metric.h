@@ -67,7 +67,19 @@ std::uint32_t Sq8SsdScalar(const std::uint8_t* a, const std::uint8_t* b,
 std::uint32_t Sq8MadScalar(const std::uint8_t* a, const std::uint8_t* b,
                            std::size_t n);
 
+/// Reference loop of Metric::MinDistMany (same arguments): the portable
+/// path the dispatcher falls back to, exposed so tests can pin both
+/// paths to MinDistComparable (src/index/knn.h) bit for bit.
+void MinDistManyScalar(MetricKind kind, PointView query, const Scalar* lo,
+                       const Scalar* hi, std::size_t count,
+                       std::size_t stride, double* out);
+
 }  // namespace detail
+
+/// Row padding of the dimension-major rectangle arrays MinDistMany reads:
+/// each dimension's row holds `stride` lanes, a multiple of this, so the
+/// vector path runs whole 4-lane loads over the padding.
+inline constexpr std::size_t kRectBlockLanes = 4;
 
 /// The dispatched pair kernel underlying Comparable(): two row-major
 /// float rows of the same length -> comparable-space value.
@@ -122,6 +134,22 @@ class Metric {
   /// is bit-identical to the corresponding one-to-one Comparable() call.
   void ComparableMany(PointView query, const Scalar* points,
                       std::size_t count, std::size_t dim, double* out) const;
+
+  /// One-query-to-many-rectangles MINDIST kernel, the best-first
+  /// descent's expansion step: out[i] is the MINDIST of `query` to
+  /// rectangle i in this metric's Comparable scale, for i < count. The
+  /// rectangles are dimension-major: rectangle i spans
+  /// [lo[j * stride + i], hi[j * stride + i]] in dimension j, and
+  /// `stride` (>= count) is a multiple of kRectBlockLanes whose padding
+  /// lanes are readable (their values are ignored). Each out[i] is
+  /// bit-identical to MinDistComparable (src/index/knn.h) on the same
+  /// rectangle: per-dimension gaps are max(lo - q, q - hi, 0) in
+  /// doubles, accumulated in dimension order with a separate multiply
+  /// and add (never a fused one), and both the AVX2 and the scalar path
+  /// replay that exactly. Assumes finite coordinates (the engine's
+  /// Status entry points reject non-finite queries).
+  void MinDistMany(PointView query, const Scalar* lo, const Scalar* hi,
+                   std::size_t count, std::size_t stride, double* out) const;
 
   /// Many-queries-to-many-points kernel, the batched execution path's
   /// workhorse: out[q * count + i] = Comparable(query_q, p_i), where

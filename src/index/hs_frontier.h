@@ -5,7 +5,8 @@
 //   NextNode       — pop points into the result until the search ends or
 //                    needs a node expanded (the caller fetches it);
 //   PushPoint      — the leaf sweep's emit, gated by Cutoff();
-//   ExpandInterior — push an interior node's surviving children.
+//   ExpandInterior — push an interior node's surviving children, scored
+//                    by one MINDIST kernel call over its DirBlock.
 //
 // The pop sequence depends only on the calls made on this object, so a
 // search paused between NextNode and the node's expansion (the
@@ -24,6 +25,7 @@
 #include "src/geometry/metric.h"
 #include "src/geometry/point.h"
 #include "src/index/knn.h"
+#include "src/index/leaf_block.h"
 #include "src/index/node.h"
 #include "src/io/disk_model.h"
 #include "src/util/phase_timer.h"
@@ -109,24 +111,29 @@ class HsFrontier {
     return kInvalidNodeId;
   }
 
-  /// Queues the children of interior node `node`. With the bound full, a
-  /// child whose MINDIST strictly exceeds the cutoff can never pop before
-  /// the search ends, so it is dropped (and its MINDIST accumulation
-  /// bails out as soon as it crosses the cutoff). Ties MUST still be
-  /// pushed: a node keyed exactly at the cutoff could pop before an
-  /// equal-keyed point under the heap's internal order. The exact cut
-  /// runs first so cutoff_skipped_nodes keeps its exact-path meaning
-  /// (and its count at eps = 0); children inside the exact cut but
-  /// outside the relaxed one are the approximation's own skips.
-  void ExpandInterior(const Node& node, PointView query,
+  /// Queues the children of the interior node whose block is `block`
+  /// (TreeBase::DirBlockOf). One Metric::MinDistMany call scores every
+  /// child; each key is bit-identical to MinDistComparable on the
+  /// child's MBR. With the bound full, a child whose MINDIST strictly
+  /// exceeds the cutoff can never pop before the search ends, so it is
+  /// dropped. Ties MUST still be pushed: a node keyed exactly at the
+  /// cutoff could pop before an equal-keyed point under the heap's
+  /// internal order. The exact cut runs first so cutoff_skipped_nodes
+  /// keeps its exact-path meaning (and its count at eps = 0); children
+  /// inside the exact cut but outside the relaxed one are the
+  /// approximation's own skips.
+  void ExpandInterior(const DirBlock& block, PointView query,
                       const Metric& metric) {
     ScopedPhase phase(Phase::kDescent);
     const bool approx = node_factor_ > 1.0;
     const double cut = Cutoff();
     const double rcut = approx ? cut / node_factor_ : cut;
-    for (const NodeEntry& e : node.entries) {
-      double key;
-      if (MinDistExceeds(e.rect, query, metric, cut, &key)) {
+    keys_.resize(block.count);
+    metric.MinDistMany(query, block.lo.data(), block.hi.data(), block.count,
+                       block.stride, keys_.data());
+    for (std::size_t i = 0; i < block.count; ++i) {
+      const double key = keys_[i];
+      if (key > cut) {
         ++cutoff_skipped_;
         continue;
       }
@@ -134,7 +141,7 @@ class HsFrontier {
         ++approx_skipped_;
         continue;
       }
-      Push(Item{key, false, e.child});
+      Push(Item{key, false, block.children[i]});
     }
   }
 
@@ -175,6 +182,8 @@ class HsFrontier {
   std::vector<Item> heap_;
   /// Max-heap of the k smallest point keys pushed so far.
   std::vector<double> bound_;
+  /// ExpandInterior's per-child MINDIST scratch.
+  std::vector<double> keys_;
   std::uint64_t pushes_ = 0;
   std::uint64_t pops_ = 0;
   std::uint64_t cutoff_skipped_ = 0;

@@ -248,22 +248,23 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
   NodeId id;
   while ((id = frontier.NextNode(metric, &result)) != kInvalidNodeId) {
     const Node* node;
+    TreeBase::DiskRoute route;
     {
       ScopedPhase phase(Phase::kIo);
-      node = &tree.AccessNode(id);
+      node = &tree.AccessNode(id, &route);
     }
     if (!node->IsLeaf()) {
-      frontier.ExpandInterior(*node, query, metric);
+      frontier.ExpandInterior(tree.DirBlockOf(*node), query, metric);
       continue;
     }
     const LeafBlock& block = tree.LeafBlockOf(*node);
-    tree.ChargeLeafSweep(
-        *node, SweepLeafDistances(
-                   block, query, metric, [&] { return frontier.Cutoff(); },
-                   [&](std::size_t i, double key) {
-                     frontier.PushPoint(key, block.ids[i]);
-                   },
-                   approx.sweep_factor));
+    const LeafSweepStats sweep = SweepLeafDistances(
+        block, query, metric, [&] { return frontier.Cutoff(); },
+        [&](std::size_t i, double key) {
+          frontier.PushPoint(key, block.ids[i]);
+        },
+        approx.sweep_factor);
+    AddLeafSweep(&route.disk->Sink(), sweep);
   }
   frontier.Book(&tree.disk()->Sink());
   return result;
@@ -273,18 +274,17 @@ namespace {
 
 void RkvVisit(const TreeBase& tree, NodeId node_id, PointView query,
               std::size_t k, const Metric& metric, TopK* best) {
-  const Node& node = tree.AccessNode(node_id);
+  TreeBase::DiskRoute route;
+  const Node& node = tree.AccessNode(node_id, &route);
   if (node.IsLeaf()) {
     // TopK::Offer rejects keys >= Threshold() when full, so pruning on
     // the (re-read, tightening) threshold preserves the heap's update
     // sequence exactly.
     const LeafBlock& block = tree.LeafBlockOf(node);
-    tree.ChargeLeafSweep(
-        node, SweepLeafDistances(
-                  block, query, metric, [&] { return best->Threshold(); },
-                  [&](std::size_t i, double key) {
-                    best->Offer(key, block.ids[i]);
-                  }));
+    const LeafSweepStats sweep = SweepLeafDistances(
+        block, query, metric, [&] { return best->Threshold(); },
+        [&](std::size_t i, double key) { best->Offer(key, block.ids[i]); });
+    AddLeafSweep(&route.disk->Sink(), sweep);
     return;
   }
   struct Branch {
@@ -341,21 +341,22 @@ KnnResult BallQuery(const TreeBase& tree, PointView query, double radius,
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    const Node& node = tree.AccessNode(id);
+    TreeBase::DiskRoute route;
+    const Node& node = tree.AccessNode(id, &route);
     if (node.IsLeaf()) {
       // Constant threshold (the ball radius in the comparable scale):
       // a candidate with lower bound above it fails `<= threshold` for
       // sure, so the emitted set is unchanged.
       const LeafBlock& block = tree.LeafBlockOf(node);
-      tree.ChargeLeafSweep(
-          node, SweepLeafDistances(
-                    block, query, metric, [&] { return threshold; },
-                    [&](std::size_t i, double key) {
-                      if (key <= threshold) {
-                        out.push_back(Neighbor{block.ids[i],
-                                               metric.FromComparable(key)});
-                      }
-                    }));
+      const LeafSweepStats sweep = SweepLeafDistances(
+          block, query, metric, [&] { return threshold; },
+          [&](std::size_t i, double key) {
+            if (key <= threshold) {
+              out.push_back(
+                  Neighbor{block.ids[i], metric.FromComparable(key)});
+            }
+          });
+      AddLeafSweep(&route.disk->Sink(), sweep);
     } else {
       for (const NodeEntry& e : node.entries) {
         if (MinDistComparable(e.rect, query, metric) <= threshold) {

@@ -90,7 +90,8 @@ KnnResult BruteForceBallQuery(const PointSet& points, PointView query,
                               double radius, const Metric& metric = Metric());
 
 /// MINDIST between a query point and a rectangle in the metric's
-/// Comparable scale (squared for L2).
+/// Comparable scale (squared for L2). The reference the one-to-many
+/// kernel Metric::MinDistMany matches bit for bit.
 double MinDistComparable(const Rect& rect, PointView query,
                          const Metric& metric);
 
@@ -100,8 +101,9 @@ double MinDistComparable(const Rect& rect, PointView query,
 /// all-pairs similarity join (compare against ToComparable(epsilon)).
 double MinDistComparable(const Rect& a, const Rect& b, const Metric& metric);
 
-/// Early-exit MINDIST against a known cutoff (HsFrontier's descent fast
-/// path): returns true iff
+/// Early-exit MINDIST against a known cutoff (the self-join's per-row
+/// run-box test; the best-first descent scores whole nodes with
+/// Metric::MinDistMany instead): returns true iff
 /// MinDistComparable(rect, query, metric) > cutoff, bailing out of the
 /// per-dimension loop as soon as the partial accumulation — a
 /// nondecreasing sum/max of nonnegative terms — already exceeds it.

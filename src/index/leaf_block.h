@@ -1,4 +1,5 @@
-// Structure-of-arrays mirror of a leaf page.
+// Structure-of-arrays mirrors of tree pages: LeafBlock for leaves,
+// DirBlock for interior (directory) nodes.
 //
 // A leaf Node stores its points AoS — each NodeEntry carries a degenerate
 // Rect (lo == hi == the point) plus the point id — which keeps the
@@ -8,6 +9,12 @@
 // count PointIds), so a page scan is one contiguous sweep the one-to-many
 // and many-to-many distance kernels (Metric::ComparableMany /
 // ComparableBlock) stream over without a per-query gather.
+//
+// A DirBlock does the same for an interior node's child MBRs, laid out
+// dimension-major (all lower bounds of dimension 0, then dimension 1, ...
+// and likewise for the upper bounds) so the one-to-many MINDIST kernel
+// (Metric::MinDistMany) scores every child of the node in one pass with
+// the rectangles, not the dimensions, in the vector lanes.
 //
 // Blocks are derived state: LeafBlockCache builds them lazily on first
 // access and invalidates them wholesale whenever the tree's structure
@@ -25,6 +32,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/geometry/metric.h"
 #include "src/geometry/point.h"
 #include "src/geometry/sq8.h"
 #include "src/index/node.h"
@@ -60,7 +68,27 @@ struct LeafBlock {
                  bool quantize = false, bool prefix = false);
 };
 
-/// Per-tree cache of leaf blocks, safe for concurrent read-only queries.
+/// The SoA layout of one interior node: its children's MBRs
+/// dimension-major, padded for the MINDIST kernel, plus the child ids in
+/// entry order.
+struct DirBlock {
+  std::size_t count = 0;
+  /// Lanes per dimension row: count rounded up to a multiple of
+  /// kRectBlockLanes (src/geometry/metric.h). Padding lanes hold 0.
+  std::size_t stride = 0;
+  /// dim * stride scalars each: child i's bounds in dimension j are
+  /// [lo[j * stride + i], hi[j * stride + i]].
+  std::vector<Scalar> lo;
+  std::vector<Scalar> hi;
+  /// count child node ids, parallel to the lanes.
+  std::vector<NodeId> children;
+
+  /// Rebuilds this block from interior node `node` (entries in order).
+  void BuildFrom(const Node& node, std::size_t dim);
+};
+
+/// Per-tree cache of leaf and interior-node blocks, safe for concurrent
+/// read-only queries.
 ///
 /// Thread-safety contract (the tree family's): any number of concurrent
 /// Get() calls may race with each other — the first one through a slot's
@@ -88,6 +116,12 @@ class LeafBlockCache {
   /// The current block of `leaf`, building it if stale or absent.
   const LeafBlock& Get(const Node& leaf, std::size_t dim) const;
 
+  /// The current block of interior node `node`, building it if stale or
+  /// absent. Shares the node's slot (epoch, atomic, mutex) with Get: a
+  /// node id is one node, leaf or interior, so one invalidation covers
+  /// both kinds.
+  const DirBlock& GetDir(const Node& node, std::size_t dim) const;
+
  private:
   struct Slot {
     /// Epoch the block was built at; acquire/release pairs with the
@@ -95,8 +129,16 @@ class LeafBlockCache {
     /// the fully built block.
     std::atomic<std::uint64_t> built_epoch{0};
     std::mutex build_mutex;
+    /// The node's block: `block` for a leaf, `dir` for an interior node
+    /// (the other stays empty).
     LeafBlock block;
+    DirBlock dir;
   };
+
+  /// Runs `build` on `node`'s slot unless it is current (double-checked
+  /// under the slot mutex) and returns the slot.
+  template <typename Build>
+  Slot& Materialize(const Node& node, Build&& build) const;
 
   // unique_ptr slots: Invalidate() may grow the vector, and Slot holds
   // a mutex/atomic (neither movable).

@@ -19,8 +19,8 @@
 // bit-identical to the exact sweep.
 //
 // Each sweep returns (or fills) LeafSweepStats; callers book them with
-// AddLeafSweep (single queries via TreeBase::ChargeLeafSweep) so exact
-// re-ranks meter simulated CPU
+// AddLeafSweep, into the stats sink of the disk AccessNode routed the
+// leaf to, so exact re-ranks meter simulated CPU
 // (distance_computations) and the prune/re-rank/bytes counters reach the
 // per-query stats. The integer bound computations charge no simulated
 // CPU: they are the cost the quantized path removes, and the counters

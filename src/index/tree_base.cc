@@ -79,19 +79,14 @@ NodeId TreeBase::AllocateNodes(int level, std::size_t count) {
   return first;
 }
 
-TreeBase::DiskRoute TreeBase::ResolveRoute(const Node& node) const {
+const Node& TreeBase::AccessNode(NodeId id, DiskRoute* route_out) const {
+  PARSIM_CHECK(id < nodes_.size());
+  const Node& node = *nodes_[id];
   const DiskRoute route =
       node_disk_resolver_ ? node_disk_resolver_(node) : DiskRoute{disk_};
   PARSIM_CHECK(route.disk != nullptr);
-  return route;
-}
-
-const Node& TreeBase::AccessNode(NodeId id) const {
-  PARSIM_CHECK(id < nodes_.size());
-  const Node& node = *nodes_[id];
-  const DiskRoute route = ResolveRoute(node);
-  // Fault annotations are recorded exactly once per node READ (distance
-  // charges re-resolve the route but do not repeat them).
+  // Fault annotations are recorded exactly once per node READ (later
+  // charges reuse the returned route but do not repeat them).
   if (route.failover) route.disk->RecordFailover(route.retry_attempts,
                                                 node.pages);
   if (route.unavailable) route.disk->RecordUnavailable(node.pages);
@@ -100,27 +95,23 @@ const Node& TreeBase::AccessNode(NodeId id) const {
   } else {
     route.disk->ReadDirectoryPagesBuffered(node.id, node.pages);
   }
+  if (route_out != nullptr) *route_out = route;
   return node;
-}
-
-void TreeBase::ChargeNodeDistances(const Node& node, std::uint64_t n) const {
-  ResolveRoute(node).disk->ChargeDistanceComputations(n);
-}
-
-void TreeBase::ChargeLeafSweep(const Node& node,
-                               const LeafSweepStats& sweep) const {
-  AddLeafSweep(&ResolveRoute(node).disk->Sink(), sweep);
 }
 
 void TreeBase::WarmLeafBlocks(ThreadPool* pool) const {
   if (root_ == kInvalidNodeId) return;
   const auto warm = [this](std::size_t i) {
     const Node& node = *nodes_[i];
-    // Dissolved leaves (condensed away by deletes) keep their slot but
+    // Dissolved nodes (condensed away by deletes) keep their slot but
     // hold no entries; building their empty block would be harmless,
     // skipping it is cheaper.
-    if (!node.IsLeaf() || node.entries.empty()) return;
-    (void)leaf_blocks_.Get(node, dim_);
+    if (node.entries.empty()) return;
+    if (node.IsLeaf()) {
+      (void)leaf_blocks_.Get(node, dim_);
+    } else {
+      (void)leaf_blocks_.GetDir(node, dim_);
+    }
   };
   if (pool != nullptr && nodes_.size() > 1) {
     pool->ParallelFor(0, nodes_.size(), warm);
@@ -914,13 +905,14 @@ std::vector<PointId> TreeBase::RangeQuery(const Rect& query) const {
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    const Node& node = AccessNode(id);
+    DiskRoute route;
+    const Node& node = AccessNode(id, &route);
     if (node.IsLeaf()) {
       // Sweep the SoA block instead of the AoS entries: a leaf entry's
       // rect is the degenerate rect of its point, so Intersects(e.rect)
       // is exactly Contains(point), and the block preserves entry order.
       const LeafBlock& block = LeafBlockOf(node);
-      ChargeLeafSweep(node, SweepLeafRange(block, query, &out));
+      AddLeafSweep(&route.disk->Sink(), SweepLeafRange(block, query, &out));
       continue;
     }
     for (const NodeEntry& e : node.entries) {

@@ -147,16 +147,15 @@ class TreeBase {
     node_disk_resolver_ = std::move(resolver);
   }
 
-  /// Resolves where `node`'s charges land without reading anything: the
-  /// installed resolver's route, or the tree's own disk (healthy) when no
-  /// resolver is set. The batched k-NN scheduler uses this to attribute a
-  /// coalesced page fetch to the right disk for every query in a group.
-  DiskRoute ResolveRoute(const Node& node) const;
-
-  /// Reads a node, charging its pages to the resolved disk. Directory
-  /// and data pages are metered separately, matching the paper's
-  /// accounting.
-  const Node& AccessNode(NodeId id) const;
+  /// Reads a node, charging its pages to the disk the resolver routes it
+  /// to (the installed resolver's route, or the tree's own disk, healthy,
+  /// when none is set). Directory and data pages are metered separately,
+  /// matching the paper's accounting. `route` (nullable) receives the
+  /// route the read was charged to, so callers attribute the node's
+  /// later charges — a leaf sweep's outcome (AddLeafSweep into
+  /// route.disk->Sink()), a coalesced group's spared pages — without
+  /// resolving it a second time.
+  const Node& AccessNode(NodeId id, DiskRoute* route = nullptr) const;
 
   /// The SoA block of `leaf`, built lazily and cached until the next
   /// structural change. Safe for concurrent queries; see LeafBlockCache.
@@ -164,14 +163,13 @@ class TreeBase {
     return leaf_blocks_.Get(leaf, dim_);
   }
 
-  /// Charges `n` distance computations to the disk that serves `node`
-  /// (the CPU doing the work sits next to that disk).
-  void ChargeNodeDistances(const Node& node, std::uint64_t n) const;
+  /// The SoA block of interior node `node` (its children's MBRs,
+  /// dimension-major, for Metric::MinDistMany), cached in the same slot
+  /// and under the same invalidation as LeafBlockOf.
+  const DirBlock& DirBlockOf(const Node& node) const {
+    return leaf_blocks_.GetDir(node, dim_);
+  }
 
-  /// Charges one leaf sweep's outcome to the disk that serves `node`:
-  /// exact re-ranks meter simulated CPU like ChargeNodeDistances, and
-  /// the prune/re-rank/byte counters land in the same stats sink.
-  void ChargeLeafSweep(const Node& node, const LeafSweepStats& sweep) const;
 
   /// Whether leaf blocks carry SQ8 mirrors for error-bounded pruned
   /// sweeps (src/index/leaf_sweep.h). Mutation-side toggle — it
@@ -195,11 +193,12 @@ class TreeBase {
   }
   bool sq8_prefix_stage() const { return leaf_blocks_.prefix(); }
 
-  /// Prebuilds the SoA block (and, when enabled, the SQ8 mirror plus its
-  /// prefix stage) of every leaf, over `pool` when given (nullptr runs
-  /// on the caller). Leaf blocks are derived state built lazily on first
-  /// access, so without warming the first query wave silently pays the
-  /// epoch-cache construction; benchmarks and the throughput harness
+  /// Prebuilds the SoA block of every node — each leaf's LeafBlock (and,
+  /// when enabled, its SQ8 mirror plus prefix stage) and each interior
+  /// node's DirBlock — over `pool` when given (nullptr runs on the
+  /// caller). Blocks are derived state built lazily on first access, so
+  /// without warming the first query wave after a build silently pays
+  /// the epoch-cache construction; benchmarks and the throughput harness
   /// call this so they measure steady state. Charges nothing — block
   /// builds never meter pages or CPU (only AccessNode does) — and is
   /// safe to omit entirely.

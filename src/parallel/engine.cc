@@ -260,12 +260,13 @@ Status ParallelSearchEngine::Build(const PointSet& points) {
   host_.ResetStats();
   InvalidateLeafRoutes();
   if (build_pool != nullptr) {
-    // Parallel post-build warm-up: leaf SoA blocks (with SQ8/prefix
-    // mirrors when enabled) and the memoized leaf routes are derived
-    // state that queries otherwise build lazily — fan both out over the
-    // build pool so the first query wave measures steady state. Neither
-    // charges pages or CPU, so build_stats_ (captured above) and every
-    // later query stat are unaffected.
+    // Parallel post-build warm-up: the SoA blocks (leaf blocks with
+    // SQ8/prefix mirrors when enabled, interior-node DirBlocks) and the
+    // memoized leaf routes are derived state that queries otherwise
+    // build lazily — fan both out over the build pool so the first query
+    // wave measures steady state. Neither charges pages or CPU, so
+    // build_stats_ (captured above) and every later query stat are
+    // unaffected.
     for (const auto& t : trees_) t->WarmLeafBlocks(build_pool.get());
     PrewarmLeafRoutes(build_pool.get());
   }

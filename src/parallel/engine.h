@@ -385,8 +385,9 @@ class ParallelSearchEngine {
                                     unsigned* effective_threads = nullptr,
                                     PhaseBreakdown* phases = nullptr) const;
 
-  /// Prebuilds every leaf's SoA block (and SQ8 mirror + prefix stage,
-  /// when enabled) on all trees, over `threads` pool workers when > 1.
+  /// Prebuilds every node's SoA block on all trees — each leaf's block
+  /// (and SQ8 mirror + prefix stage, when enabled) and each interior
+  /// node's DirBlock — over `threads` pool workers when > 1.
   /// Charges nothing. Benchmarks and the throughput harness call this so
   /// timed runs measure steady state rather than first-touch block
   /// construction; safe to omit otherwise.

@@ -139,9 +139,8 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
       const std::size_t leader = requests_[g.begin].second;
       {
         ScopedCostCapture capture(states_[leader].acc);
-        g.accessed = &tree_.AccessNode(g.node);
+        g.accessed = &tree_.AccessNode(g.node, &g.route);
       }
-      g.route = tree_.ResolveRoute(*g.accessed);
       const std::size_t slot = g.route.disk->id();
       for (std::size_t m = g.begin + 1; m < g.end; ++m) {
         DiskStats& s = states_[requests_[m].second].acc->slot(slot);
@@ -204,9 +203,10 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
         Advance(&states_[qi]);
       }
     } else {
+      const DirBlock& block = tree_.DirBlockOf(node);
       for (std::size_t m = 0; m < members; ++m) {
         QueryState& state = states_[requests_[g.begin + m].second];
-        state.frontier.ExpandInterior(node, PointView(state.query), metric_);
+        state.frontier.ExpandInterior(block, PointView(state.query), metric_);
         Advance(&state);
       }
     }

@@ -34,8 +34,9 @@ namespace parsim {
 
 /// The phases a k-NN query's wall clock is attributed to.
 enum class Phase : unsigned {
-  /// Interior-node expansion: MINDIST evaluation and frontier pushes of
-  /// child nodes (including the cutoff-skip test).
+  /// Interior-node expansion: the MINDIST kernel over the node's
+  /// DirBlock and frontier pushes of child nodes (including the
+  /// cutoff-skip test).
   kDescent = 0,
   /// Frontier maintenance: heap pops and result emission between node
   /// fetches.

@@ -1,16 +1,22 @@
 // Kernel equivalence: the dispatched (possibly SIMD) distance kernels
 // must agree with the portable scalar reference on every dimension shape
 // — odd, even, below/above the vector width, and large — and the
-// one-to-many kernel must be bit-identical to the one-to-one calls.
+// one-to-many kernel must be bit-identical to the one-to-one calls. The
+// rectangle MINDIST kernel (Metric::MinDistMany) must match
+// MinDistComparable bit for bit on both of its paths.
 
 #include "src/geometry/metric.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/geometry/rect.h"
+#include "src/index/knn.h"
 #include "src/util/random.h"
 
 namespace parsim {
@@ -218,6 +224,141 @@ TEST(SimdKernelTest, Sq8ManyUnderMatchesManyPlusFilter) {
                 << " dim=" << dim << " cutoff=" << cutoff << " slot=" << i;
           }
           EXPECT_EQ(0xdeadbeefu, got[n]) << "wrote past the survivor count";
+        }
+      }
+    }
+  }
+}
+
+/// `rects` in the dimension-major, lane-padded layout MinDistMany reads
+/// (a DirBlock's). Padding lanes get an arbitrary finite value: the
+/// kernel must ignore them.
+struct RectRows {
+  std::size_t stride = 0;
+  std::vector<Scalar> lo;
+  std::vector<Scalar> hi;
+};
+
+RectRows PackRects(const std::vector<Rect>& rects, std::size_t dim) {
+  RectRows rows;
+  rows.stride = (rects.size() + kRectBlockLanes - 1) / kRectBlockLanes *
+                kRectBlockLanes;
+  rows.lo.assign(dim * rows.stride, 7.0f);
+  rows.hi.assign(dim * rows.stride, -7.0f);
+  for (std::size_t i = 0; i < rects.size(); ++i) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      rows.lo[j * rows.stride + i] = rects[i].lo(j);
+      rows.hi[j * rows.stride + i] = rects[i].hi(j);
+    }
+  }
+  return rows;
+}
+
+/// A rectangle around a random point: per dimension either a proper
+/// interval or, one time in four, a degenerate one (lo == hi); with
+/// `point` every dimension is degenerate.
+Rect RandomRect(Rng& rng, std::size_t dim, bool point) {
+  std::vector<Scalar> lo(dim), hi(dim);
+  for (std::size_t j = 0; j < dim; ++j) {
+    lo[j] = static_cast<Scalar>(rng.NextDouble() * 2.0 - 1.0);
+    const bool flat = point || rng.NextBounded(4) == 0;
+    hi[j] = flat ? lo[j] : lo[j] + static_cast<Scalar>(rng.NextDouble());
+  }
+  return Rect(std::move(lo), std::move(hi));
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(SimdKernelTest, RectMinDistManyBitIdenticalToMinDistComparable) {
+  Rng rng(1215);
+  constexpr double kPoison = -12345.0;
+  for (const MetricKind kind :
+       {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
+    const Metric metric(kind);
+    for (const std::size_t dim :
+         {1ul, 2ul, 3ul, 7ul, 8ul, 15ul, 16ul, 17ul, 33ul, 64ul}) {
+      // Counts off the 4-lane grid (1 included), plus 16 and 21 for the
+      // four-vector pass with and without a tail.
+      for (const std::size_t count :
+           {1ul, 2ul, 3ul, 5ul, 7ul, 13ul, 16ul, 21ul, 31ul}) {
+        std::vector<Rect> rects;
+        for (std::size_t i = 0; i < count; ++i) {
+          rects.push_back(RandomRect(rng, dim, /*point=*/i % 5 == 4));
+        }
+        const RectRows rows = PackRects(rects, dim);
+        // Queries outside every rect (scaled past the data), inside one
+        // (its center), on its faces and corners (each coordinate copied
+        // from lo or hi), and half on a face, half inside.
+        std::vector<Point> queries;
+        queries.push_back(RandomPoint(rng, dim, 3.0));
+        queries.push_back(RandomPoint(rng, dim, 0.5));
+        for (std::size_t r = 0; r < count; r += 3) {
+          queries.push_back(rects[r].Center());
+          Point face(dim), mixed(dim);
+          for (std::size_t j = 0; j < dim; ++j) {
+            face[j] = rng.NextBounded(2) == 0 ? rects[r].lo(j)
+                                              : rects[r].hi(j);
+            mixed[j] = j % 2 == 0 ? face[j] : queries.back()[j];
+          }
+          queries.push_back(face);
+          queries.push_back(mixed);
+        }
+        for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+          const Point& q = queries[qi];
+          std::vector<double> dispatched(count + 1, kPoison);
+          std::vector<double> scalar(count + 1, kPoison);
+          metric.MinDistMany(q, rows.lo.data(), rows.hi.data(), count,
+                             rows.stride, dispatched.data());
+          detail::MinDistManyScalar(kind, q, rows.lo.data(), rows.hi.data(),
+                                    count, rows.stride, scalar.data());
+          for (std::size_t i = 0; i < count; ++i) {
+            const double want = MinDistComparable(rects[i], q, metric);
+            EXPECT_EQ(Bits(want), Bits(dispatched[i]))
+                << "dispatched kind=" << MetricKindToString(kind)
+                << " dim=" << dim << " count=" << count << " query=" << qi
+                << " rect=" << i;
+            EXPECT_EQ(Bits(want), Bits(scalar[i]))
+                << "scalar kind=" << MetricKindToString(kind)
+                << " dim=" << dim << " count=" << count << " query=" << qi
+                << " rect=" << i;
+          }
+          EXPECT_EQ(kPoison, dispatched[count]) << "wrote past count";
+          EXPECT_EQ(kPoison, scalar[count]) << "wrote past count";
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, RectMinDistManyZeroInsideAndOnFaces) {
+  // A query inside or on the boundary of a rectangle is at MINDIST +0.0
+  // under every metric, on both paths. The -0.0 lower face makes a gap
+  // of -0.0 (-0.0 - +0.0); the max chain must not let it reach a result.
+  for (const MetricKind kind :
+       {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
+    const Metric metric(kind);
+    for (const std::size_t dim : {1ul, 7ul, 16ul}) {
+      const std::vector<Rect> rects = {
+          Rect(std::vector<Scalar>(dim, 0.0f), std::vector<Scalar>(dim, 1.0f)),
+          Rect(std::vector<Scalar>(dim, 0.5f), std::vector<Scalar>(dim, 0.5f)),
+          Rect(std::vector<Scalar>(dim, -0.0f),
+               std::vector<Scalar>(dim, 0.5f))};
+      const RectRows rows = PackRects(rects, dim);
+      for (const Scalar c : {0.5f, 0.0f}) {
+        const Point q(dim, c);
+        std::vector<double> dispatched(rects.size()), scalar(rects.size());
+        metric.MinDistMany(q, rows.lo.data(), rows.hi.data(), rects.size(),
+                           rows.stride, dispatched.data());
+        detail::MinDistManyScalar(kind, q, rows.lo.data(), rows.hi.data(),
+                                  rects.size(), rows.stride, scalar.data());
+        for (std::size_t i = 0; i < rects.size(); ++i) {
+          if (!rects[i].Contains(q)) continue;
+          EXPECT_EQ(Bits(0.0), Bits(dispatched[i]))
+              << MetricKindToString(kind) << " dim=" << dim << " q=" << c
+              << " rect=" << i;
+          EXPECT_EQ(Bits(0.0), Bits(scalar[i]))
+              << MetricKindToString(kind) << " dim=" << dim << " q=" << c
+              << " rect=" << i;
         }
       }
     }

@@ -308,6 +308,63 @@ std::string RenderActualStats() {
       << " height=" << str_tree.height()
       << " data_pages=" << str_tree.DataPages() << "\n";
   append_tree_levels(str_tree);
+
+  // HS frontier counters beyond the default exact L2 path: L1, Lmax and
+  // the approximate tier (eps > 0, with and without SQ8 leaf blocks), on
+  // a three-level tree (d=13, n=12000) so the descent expands interior
+  // nodes on two levels. Each variant runs per query and through the
+  // coalesced round scheduler; both must return the same results, and
+  // the pushes / pops / cutoff and approx skips of both are pinned.
+  const std::size_t deep_dim = 13;
+  const PointSet deep_data = GenerateUniform(12000, deep_dim, 3311);
+  const PointSet deep_queries = GenerateUniformQueries(6, deep_dim, 3313);
+  struct FrontierVariant {
+    const char* name;
+    MetricKind metric;
+    bool quantized;
+    double epsilon;
+  };
+  const FrontierVariant variants[] = {
+      {"L1 exact", MetricKind::kL1, false, 0.0},
+      {"Lmax exact", MetricKind::kLmax, false, 0.0},
+      {"L2 exact", MetricKind::kL2, false, 0.0},
+      {"L1 approx eps=0.5", MetricKind::kL1, false, 0.5},
+      {"Lmax approx eps=0.25 quantized", MetricKind::kLmax, true, 0.25},
+      {"L2 approx eps=0.25 quantized", MetricKind::kL2, true, 0.25},
+  };
+  for (const FrontierVariant& v : variants) {
+    EngineOptions fo = options;
+    fo.enable_replicas = false;
+    fo.coalesced_batch = true;
+    fo.metric = Metric(v.metric);
+    fo.quantized_leaf_blocks = v.quantized;
+    if (v.epsilon > 0.0) {
+      fo.approx.enabled = true;
+      fo.approx.epsilon = v.epsilon;
+    }
+    ParallelSearchEngine fe(
+        deep_dim, std::make_unique<NearOptimalDeclusterer>(deep_dim, disks),
+        fo);
+    EXPECT_TRUE(fe.Build(deep_data).ok());
+    out << "[frontier " << v.name << " d=13 n=12000 height="
+        << fe.tree().height() << " per-query]\n";
+    std::vector<KnnResult> single;
+    for (std::size_t qi = 0; qi < deep_queries.size(); ++qi) {
+      QueryStats stats;
+      single.push_back(fe.Query(deep_queries[qi], k, &stats));
+      out << "query " << qi << ": ";
+      AppendQueryStats(&out, stats);
+    }
+    std::vector<QueryStats> fco_stats;
+    const std::vector<KnnResult> batched =
+        fe.QueryBatch(deep_queries, k, &fco_stats, /*threads=*/4);
+    EXPECT_TRUE(batched == single) << v.name;
+    out << "[frontier " << v.name << " coalesced threads_requested=4]\n";
+    for (std::size_t qi = 0; qi < deep_queries.size(); ++qi) {
+      out << "query " << qi << ": ";
+      AppendQueryStats(&out, fco_stats[qi]);
+    }
+  }
   return out.str();
 }
 

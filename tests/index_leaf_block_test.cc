@@ -6,19 +6,25 @@
 // rests on: blocks are bitwise mirrors of their leaves, kernel sweeps
 // over them are bitwise equal to per-entry distance calls, every query
 // kind returns bit-identical answers to a pre-SoA oracle, and mutations
-// invalidate stale blocks.
+// invalidate stale blocks. The interior-node DirBlocks share the cache:
+// they must mirror their nodes after every insert and delete, and
+// concurrent first touches must build them race-free.
 
 #include "src/index/leaf_block.h"
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/index/knn.h"
+#include "src/io/cost_capture.h"
 #include "src/index/rstar_tree.h"
 #include "src/index/xtree.h"
+#include "src/util/random.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
@@ -205,8 +211,167 @@ TEST_P(LeafBlockPropertyTest, InsertAndDeleteInvalidateCachedBlocks) {
   }
 }
 
+/// Every interior node reachable from the root, unmetered.
+std::vector<NodeId> CollectInterior(const TreeBase& tree) {
+  std::vector<NodeId> interior;
+  if (tree.root_id() == kInvalidNodeId) return interior;
+  std::vector<NodeId> stack{tree.root_id()};
+  while (!stack.empty()) {
+    const Node& node = tree.PeekNode(stack.back());
+    stack.pop_back();
+    if (node.IsLeaf()) continue;
+    interior.push_back(node.id);
+    for (const NodeEntry& e : node.entries) stack.push_back(e.child);
+  }
+  return interior;
+}
+
+/// Every reachable interior node's DirBlock holds exactly its entries'
+/// bounds and children, dimension-major, with zeroed padding lanes.
+void ExpectDirBlocksMirrorEntries(const TreeBase& tree) {
+  const std::size_t dim = tree.dim();
+  for (const NodeId id : CollectInterior(tree)) {
+    const Node& node = tree.PeekNode(id);
+    const DirBlock& block = tree.DirBlockOf(node);
+    ASSERT_EQ(block.count, node.entries.size()) << "node " << id;
+    ASSERT_EQ(block.stride % kRectBlockLanes, 0u);
+    ASSERT_GE(block.stride, block.count);
+    ASSERT_LT(block.stride, block.count + kRectBlockLanes);
+    ASSERT_EQ(block.lo.size(), dim * block.stride);
+    ASSERT_EQ(block.hi.size(), dim * block.stride);
+    ASSERT_EQ(block.children.size(), block.count);
+    for (std::size_t i = 0; i < block.stride; ++i) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        const Scalar lo = block.lo[j * block.stride + i];
+        const Scalar hi = block.hi[j * block.stride + i];
+        if (i < block.count) {
+          EXPECT_EQ(lo, node.entries[i].rect.lo(j)) << "node " << id;
+          EXPECT_EQ(hi, node.entries[i].rect.hi(j)) << "node " << id;
+        } else {
+          EXPECT_EQ(lo, 0.0f);
+          EXPECT_EQ(hi, 0.0f);
+        }
+      }
+      if (i < block.count) {
+        EXPECT_EQ(block.children[i], node.entries[i].child) << "node " << id;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Dims, LeafBlockPropertyTest,
                          ::testing::Values(2, 3, 4, 6, 8, 11, 13, 16),
+                         [](const auto& info) {
+                           return "d" + std::to_string(info.param);
+                         });
+
+// High dimensions keep pages small (d=64: 15 points per leaf, 7 children
+// per directory page), so a few hundred inserts build a three-level tree.
+class DirBlockMutationTest : public ::testing::TestWithParam<std::size_t> {};
+
+// Writes interleaved with queries on ONE tree: inserts that split leaves
+// and directory nodes, then mixed inserts and deletes that condense
+// underfull nodes. After every write each reachable DirBlock must mirror
+// its node (stale blocks from before the write must never be served),
+// and k-NN under every metric must match the linear scan over the live
+// points.
+TEST_P(DirBlockMutationTest, DirBlocksTrackInsertsAndDeletes) {
+  const std::size_t dim = GetParam();
+  const PointSet pool = GenerateUniform(520, dim, 7501 + dim);
+  const PointSet queries = GenerateUniformQueries(2, dim, 7503 + dim);
+  SimulatedDisk disk(0);
+  XTree tree(dim, &disk);
+  std::vector<PointId> live;  // ids of stored points (pool positions)
+
+  const auto check = [&](const char* op, std::size_t id) {
+    SCOPED_TRACE(::testing::Message() << op << " " << id);
+    ASSERT_TRUE(tree.ValidateInvariants().ok());
+    ExpectDirBlocksMirrorEntries(tree);
+    PointSet points(dim);
+    for (const PointId id : live) points.Add(pool[id]);
+    for (const MetricKind kind :
+         {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
+      const Metric metric(kind);
+      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+        KnnResult want = BruteForceKnn(points, queries[qi], 5, metric);
+        for (Neighbor& n : want) n.id = live[n.id];
+        ExpectBitIdentical(HsKnn(tree, queries[qi], 5, metric), want);
+      }
+    }
+  };
+
+  std::size_t next = 0;
+  for (; next < 400; ++next) {
+    ASSERT_TRUE(tree.Insert(pool[next], static_cast<PointId>(next)).ok());
+    live.push_back(static_cast<PointId>(next));
+    check("insert", next);
+  }
+  ASSERT_GE(tree.height(), 3) << "inserts must split directory nodes";
+  // Two deletes per insert until the tree is down to ~70 points: the
+  // deletes empty leaves and shrink directory nodes below min fill.
+  Rng rng(7505 + dim);
+  for (int round = 0; live.size() > 70; ++round) {
+    if (round % 3 == 2 && next < pool.size()) {
+      ASSERT_TRUE(tree.Insert(pool[next], static_cast<PointId>(next)).ok());
+      live.push_back(static_cast<PointId>(next));
+      check("insert", next);
+      ++next;
+      continue;
+    }
+    const std::size_t victim = rng.NextBounded(live.size());
+    const PointId id = live[victim];
+    ASSERT_TRUE(tree.Delete(pool[id], id).ok());
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    check("delete", id);
+  }
+}
+
+// Readers racing on a freshly built tree: every block is built on first
+// touch, by whichever thread reaches its slot first, while the others
+// wait on the slot mutex or take the epoch fast path (CI runs this under
+// ThreadSanitizer). Each thread's answers must equal a serial rerun.
+TEST(DirBlockConcurrencyTest, ConcurrentFirstTouchMatchesSerial) {
+  const std::size_t dim = 16;
+  const PointSet data = GenerateUniform(6000, dim, 7601);
+  const PointSet queries = GenerateUniformQueries(12, dim, 7603);
+  SimulatedDisk disk(0);
+  XTree tree(dim, &disk);
+  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_GE(tree.height(), 3);
+
+  const MetricKind kinds[] = {MetricKind::kL1, MetricKind::kL2,
+                              MetricKind::kLmax};
+  constexpr std::size_t kThreads = 6;
+  std::vector<std::vector<KnnResult>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Per-thread charge sink: the disk's own counters are not shared-
+      // writer safe, exactly as in the engines' concurrent batches.
+      QueryCostAccumulator acc(1);
+      ScopedCostCapture capture(&acc);
+      const Metric metric(kinds[t % 3]);
+      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+        got[t].push_back(HsKnn(tree, queries[(qi + t) % queries.size()], 10,
+                               metric));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  ExpectDirBlocksMirrorEntries(tree);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const Metric metric(kinds[t % 3]);
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      EXPECT_TRUE(got[t][qi] ==
+                  HsKnn(tree, queries[(qi + t) % queries.size()], 10, metric))
+          << "thread " << t << " query " << qi;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, DirBlockMutationTest,
+                         ::testing::Values(33, 48, 64),
                          [](const auto& info) {
                            return "d" + std::to_string(info.param);
                          });

@@ -69,7 +69,10 @@ echo "== [3/5] TSAN build + concurrency tests =="
 # fans the self-join's per-row block-pair enumeration, codebook builds,
 # block-pair row sweeps and final parallel pair sort over pools of
 # several widths and asserts the pair list and every counter are
-# thread-count invariant.
+# thread-count invariant; index_leaf_block_test covers the block cache
+# itself, whose slots now also build interior-node DirBlocks on first
+# touch (concurrently, from the coalesced rounds' pool workers), and its
+# invalidation across interleaved inserts and deletes.
 TSAN_TESTS=(util_thread_pool_test util_parallel_sort_test
             io_buffer_pool_test
             parallel_concurrency_test parallel_threads_test
@@ -77,7 +80,8 @@ TSAN_TESTS=(util_thread_pool_test util_parallel_sort_test
             parallel_degraded_query_test golden_stats_test
             index_quantized_block_test index_cascade_test
             index_approx_knn_test parallel_service_test
-            index_bulk_load_parallel_test parallel_join_test)
+            index_bulk_load_parallel_test parallel_join_test
+            index_leaf_block_test)
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
