@@ -13,9 +13,10 @@
 // Output: a human-readable table on stdout and BENCH_buffer_pool.json in
 // the working directory. Scale with PARSIM_BENCH_N / PARSIM_BENCH_DIM /
 // PARSIM_BENCH_QUERIES; pass --smoke for a seconds-scale CI run.
-// The speedup is wall-clock, so on a single-core
-// machine it sits near 1.0 however well the locking behaves; the
-// invariance checks are meaningful regardless.
+// The speedup is wall-clock (ratio of the medians of the timed runs,
+// each configuration after one untimed warm-up run), so on a
+// single-core machine it sits near 1.0 however well the locking
+// behaves; the invariance checks are meaningful regardless.
 
 #include <algorithm>
 #include <cstdio>
@@ -30,14 +31,14 @@
 #include "src/core/near_optimal.h"
 #include "src/io/buffer_pool.h"
 #include "src/parallel/engine.h"
-#include "src/util/stopwatch.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
 namespace {
 
-using bench::BestOfMs;
 using bench::EnvSize;
+using bench::Measure;
+using bench::Timing;
 
 std::unique_ptr<ParallelSearchEngine> MakeBufferedEngine(
     const PointSet& data, std::size_t disks, std::uint64_t pages_per_disk) {
@@ -91,8 +92,9 @@ int Run(bool smoke) {
   // --- Experiment 1: buffered batch, serial vs pooled ------------------
   // Fresh engine per timed configuration: the buffer carries history
   // across batches, so reusing one engine would hand later runs a warmer
-  // buffer. Each engine gets one untimed warm-up pass first, making the
-  // timed passes steady-state (and their pool accounting comparable).
+  // buffer. Measure gives each engine one untimed warm-up pass first,
+  // making the timed passes steady-state (and their pool accounting
+  // comparable: both engines run the same number of batches).
   const auto serial_engine = MakeBufferedEngine(data, disks, pages_per_disk);
   const auto pooled_engine = MakeBufferedEngine(data, disks, pages_per_disk);
   if (serial_engine == nullptr || pooled_engine == nullptr) {
@@ -104,22 +106,20 @@ int Run(bool smoke) {
   std::vector<KnnResult> pooled_results;
   unsigned serial_threads = 0;
   unsigned pooled_effective = 0;
-  const int batch_reps = smoke ? 1 : 3;
-  (void)serial_engine->QueryBatch(queries, k, nullptr, 1);  // warm-up
-  const double serial_ms = BestOfMs(batch_reps, [&] {
+  const int batch_reps = smoke ? 1 : 5;
+  const Timing serial = Measure(batch_reps, [&] {
     serial_results =
         serial_engine->QueryBatch(queries, k, nullptr, 1, &serial_threads);
   });
-  (void)pooled_engine->QueryBatch(queries, k, nullptr, pooled_threads);
-  const double pooled_ms = BestOfMs(batch_reps, [&] {
+  const Timing pooled = Measure(batch_reps, [&] {
     pooled_results = pooled_engine->QueryBatch(queries, k, nullptr,
                                                pooled_threads,
                                                &pooled_effective);
   });
   const double serial_qps =
-      static_cast<double>(num_queries) / (serial_ms / 1000.0);
+      static_cast<double>(num_queries) / (serial.median_ms / 1000.0);
   const double pooled_qps =
-      static_cast<double>(num_queries) / (pooled_ms / 1000.0);
+      static_cast<double>(num_queries) / (pooled.median_ms / 1000.0);
   const double speedup = pooled_qps / serial_qps;
 
   const BufferPool& serial_pool = *serial_engine->buffer_pool();
@@ -133,11 +133,13 @@ int Run(bool smoke) {
       pooled_pool.TotalHitPages() + pooled_pool.TotalMissPages() ==
       pooled_pool.TotalTouchedPages();
 
-  std::printf("\nbuffered QueryBatch wall-clock (best of %d):\n", batch_reps);
-  std::printf("  serial (1 thread):   %8.2f ms  %10.1f qps\n", serial_ms,
-              serial_qps);
-  std::printf("  pooled (%u threads): %8.2f ms  %10.1f qps  (%.2fx)\n",
-              pooled_effective, pooled_ms, pooled_qps, speedup);
+  std::printf("\nbuffered QueryBatch wall-clock (median of %d):\n",
+              batch_reps);
+  std::printf("  serial (1 thread):   %8.2f ms (iqr %.2f)  %10.1f qps\n",
+              serial.median_ms, serial.iqr_ms, serial_qps);
+  std::printf(
+      "  pooled (%u threads): %8.2f ms (iqr %.2f)  %10.1f qps  (%.2fx)\n",
+      pooled_effective, pooled.median_ms, pooled.iqr_ms, pooled_qps, speedup);
   std::printf("  results identical to serial: %s\n",
               results_identical ? "yes" : "NO (BUG)");
   std::printf("  touched pages invariant (total and per shard): %s\n",
@@ -199,13 +201,19 @@ int Run(bool smoke) {
   std::fprintf(json, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(json, "  \"buffered_query_batch\": {\n");
-  std::fprintf(json, "    \"serial_wall_ms\": %.3f,\n", serial_ms);
+  std::fprintf(json,
+               "    \"serial_wall_ms\": %.3f, \"serial_min_ms\": %.3f, "
+               "\"serial_iqr_ms\": %.3f,\n",
+               serial.median_ms, serial.min_ms, serial.iqr_ms);
   std::fprintf(json, "    \"serial_qps\": %.1f,\n", serial_qps);
   std::fprintf(json, "    \"pooled_threads_requested\": %u,\n",
                pooled_threads);
   std::fprintf(json, "    \"pooled_threads_effective\": %u,\n",
                pooled_effective);
-  std::fprintf(json, "    \"pooled_wall_ms\": %.3f,\n", pooled_ms);
+  std::fprintf(json,
+               "    \"pooled_wall_ms\": %.3f, \"pooled_min_ms\": %.3f, "
+               "\"pooled_iqr_ms\": %.3f,\n",
+               pooled.median_ms, pooled.min_ms, pooled.iqr_ms);
   std::fprintf(json, "    \"pooled_qps\": %.1f,\n", pooled_qps);
   std::fprintf(json, "    \"speedup\": %.3f,\n", speedup);
   std::fprintf(json, "    \"results_identical\": %s,\n",

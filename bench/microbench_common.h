@@ -1,5 +1,5 @@
 // Shared helpers of the plain-main microbenches (microbench_batch_knn,
-// microbench_cascade, microbench_quantized_knn, microbench_join, ...).
+// microbench_quantized_knn, microbench_join, microbench_recall, ...).
 //
 // These binaries deliberately do NOT link google-benchmark — they print
 // their own JSON and enforce invariants with exit codes — so this header
@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <vector>
 
 #include "src/geometry/point.h"
@@ -39,18 +38,6 @@ inline std::size_t EnvSize(const char* name, std::size_t fallback) {
     return fallback;
   }
   return parsed;
-}
-
-/// Best-of-`reps` wall time of `fn`, in milliseconds.
-template <typename Fn>
-double BestOfMs(int reps, const Fn& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch watch;
-    fn();
-    best = std::min(best, watch.ElapsedMillis());
-  }
-  return best;
 }
 
 /// Wall-time summary of repeated runs: the median is the headline (and
@@ -107,11 +94,10 @@ inline PointSet MakeHotSpotQueries(const PointSet& data, std::size_t n,
   return queries;
 }
 
-/// Anisotropic point cloud: dimension j's spread decays as 0.95^j —
-/// gentle enough that no dimension is negligible (a variance-ordered
-/// prefix must earn its keep against real residual mass in the tail),
-/// steep enough that the prefix still concentrates signal up front.
-inline PointSet MakeAnisotropic(std::size_t n, std::size_t dim,
+/// Anisotropic point cloud: dimension j's spread decays as decay^j, so
+/// the data's energy concentrates in the leading dimensions like real
+/// feature vectors' does.
+inline PointSet MakeAnisotropic(std::size_t n, std::size_t dim, double decay,
                                 std::uint64_t seed) {
   const PointSet base = GenerateUniform(n, dim, seed);
   PointSet out(dim);
@@ -121,7 +107,7 @@ inline PointSet MakeAnisotropic(std::size_t n, std::size_t dim,
     double spread = 1.0;
     for (std::size_t d = 0; d < dim; ++d) {
       row[d] = static_cast<Scalar>(static_cast<double>(p[d]) * spread);
-      spread *= 0.95;
+      spread *= decay;
     }
     out.Add(PointView{row.data(), row.size()});
   }

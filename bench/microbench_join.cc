@@ -2,15 +2,15 @@
 // binary (no google-benchmark).
 //
 // For d in {8, 16} a clustered workload (32 Gaussian clusters — the
-// regime the MBR prefilter and the SQ8 cascade are built for) is joined
+// regime the MBR prefilter and the SQ8 bound are built for) is joined
 // three ways over the same epsilon:
 //
 //   exhaustive  — quantization off: every candidate pair of every
 //                 surviving block pair goes through the exact float
 //                 kernel (serial),
-//   sq8         — the SQ8 prefix -> full -> exact-rerank cascade
-//                 (serial),
-//   sq8 x T     — the same cascade fanned out over an 8-thread pool.
+//   sq8         — full-dimension SQ8 bound, then exact re-rank of the
+//                 survivors (serial),
+//   sq8 x T     — the same sweep fanned out over an 8-thread pool.
 //
 // Epsilon is calibrated per (d, n) from a sampled pair-distance
 // quantile so the join emits ~5n pairs whatever the scale — dense
@@ -18,7 +18,7 @@
 //
 // The headline metric is candidate pairs per second: every config
 // triages the IDENTICAL candidate set (the exact path evaluates it in
-// full; the cascade prunes + re-ranks it — the join tests assert
+// full; the SQ8 sweep prunes + re-ranks it — the join tests assert
 // quantized_pruned + reranked == exact_distances), so speedup ratios
 // equal time ratios with no denominator games. The emitted pair lists
 // of all three configs must be bit-identical, and are additionally
@@ -68,7 +68,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.bulk_load = true;
   options.bulk_load_fill = 1.0;
   options.quantized_leaf_blocks = quantized;
-  options.cascade_prefix_stage = quantized;
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), 8),
       options);
@@ -121,7 +120,7 @@ struct ConfigRow {
   double eps = 0.0;
   std::uint64_t pairs = 0;
   std::uint64_t candidates = 0;   // exact-path float kernel evaluations
-  std::uint64_t pruned = 0;       // cascade: candidates killed pre-rerank
+  std::uint64_t pruned = 0;       // sq8: candidates killed pre-rerank
   std::uint64_t block_pairs_considered = 0;
   std::uint64_t block_pairs_swept = 0;
   std::uint64_t coalesced_reads = 0;
@@ -189,7 +188,7 @@ int Run(bool smoke) {
     row.coalesced_reads = exact.stats.coalesced_reads;
     if (sq8.stats.quantized_pruned + sq8.stats.reranked != row.candidates) {
       std::fprintf(stderr,
-                   "FAIL d=%zu: cascade candidate accounting mismatch\n",
+                   "FAIL d=%zu: sq8 candidate accounting mismatch\n",
                    dim);
       ++failures;
     }

@@ -12,9 +12,9 @@
 //      MINDIST matters: sweeping *all* leaves would pit far-away
 //      queries against blocks whose codes clamp at the lattice edge,
 //      where the bound collapses and nothing prunes — a regime the
-//      tree search never enters. Reported: wall-clock best-of-reps for
-//      both modes, prune rate, and an emit-identity check (every
-//      candidate at or under the threshold must surface with the
+//      tree search never enters. Reported: wall-clock median, min and
+//      IQR for both modes, prune rate, and an emit-identity check
+//      (every candidate at or under the threshold must surface with the
 //      bit-identical exact distance in both modes).
 //
 //   2. End to end: QueryBatch on exact vs quantized engines over
@@ -22,7 +22,16 @@
 //      buffer}, coalesced rounds for the wide batches. Results must be
 //      bit-identical; page counts equal per query; the quantized
 //      engine's simulated makespan drops by the pruned share of
-//      distance CPU.
+//      distance CPU. Each quantized row also reports its prune funnel
+//      (candidates -> base-prune survivors -> SQ8 survivors, which are
+//      the re-ranked) and the per-phase wall time (descent / frontier /
+//      io / sweep_prep / sweep_full / sweep_rerank) of one untimed pass,
+//      after a warm-up pass, on a separate profile_phases engine, so the
+//      timed runs never read the clock.
+//
+// Timing: one untimed warm-up run, then `reps` timed runs (10; 2 in
+// --smoke); the JSON records median, min and IQR, and the floor
+// compares medians.
 //
 // Output: a table on stdout and BENCH_quantized_knn.json in the working
 // directory; exit status 1 if any invariant (or, outside --smoke, the
@@ -46,16 +55,22 @@
 #include "src/index/leaf_sweep.h"
 #include "src/index/xtree.h"
 #include "src/parallel/engine.h"
+#include "src/util/phase_timer.h"
 #include "src/util/random.h"
-#include "src/util/stopwatch.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
 namespace {
 
-using bench::BestOfMs;
 using bench::EnvSize;
 using bench::MakeHotSpotQueries;
+using bench::Measure;
+using bench::Timing;
+
+/// The phases a k-NN query's wall time is reported in.
+constexpr Phase kReportedPhases[] = {Phase::kDescent,   Phase::kFrontier,
+                                     Phase::kIo,        Phase::kSweepPrep,
+                                     Phase::kSweepFull, Phase::kSweepRerank};
 
 std::vector<NodeId> CollectLeaves(const TreeBase& tree) {
   std::vector<NodeId> leaves;
@@ -92,8 +107,9 @@ struct SweepResult {
   std::uint64_t pruned = 0;
   std::uint64_t reranked = 0;
   double prune_rate = 0.0;
-  double exact_ms = 0.0;
-  double quant_ms = 0.0;
+  Timing exact;
+  Timing quant;
+  /// Ratio of the medians.
   double speedup = 0.0;
   bool emits_identical = false;
 };
@@ -213,7 +229,7 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
   tree.set_quantized_leaf_blocks(false);
   std::vector<Emit> exact_emits;
   sweep_all(&survivors, &sink, nullptr, &exact_emits);
-  out.exact_ms = BestOfMs(reps, [&] {
+  out.exact = Measure(reps, [&] {
     std::uint64_t c = 0;
     double s = 0.0;
     sweep_all(&c, &s, nullptr, nullptr);
@@ -225,7 +241,7 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
   std::vector<Emit> quant_emits;
   LeafSweepStats total;
   sweep_all(&survivors, &sink, &total, &quant_emits);
-  out.quant_ms = BestOfMs(reps, [&] {
+  out.quant = Measure(reps, [&] {
     std::uint64_t c = 0;
     double s = 0.0;
     sweep_all(&c, &s, nullptr, nullptr);
@@ -238,7 +254,9 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
       out.candidates > 0
           ? static_cast<double>(out.pruned) / static_cast<double>(out.candidates)
           : 0.0;
-  out.speedup = out.quant_ms > 0.0 ? out.exact_ms / out.quant_ms : 0.0;
+  out.speedup = out.quant.median_ms > 0.0
+                    ? out.exact.median_ms / out.quant.median_ms
+                    : 0.0;
   out.emits_identical = exact_emits == quant_emits;
   (void)guard;
   (void)survivors;
@@ -251,7 +269,8 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
 std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
                                                  std::size_t disks,
                                                  bool quantized, bool coalesced,
-                                                 std::uint64_t buffer_pages) {
+                                                 std::uint64_t buffer_pages,
+                                                 bool profile = false) {
   EngineOptions options;
   options.architecture = Architecture::kSharedTree;
   options.bulk_load = true;
@@ -259,6 +278,7 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.coalesced_batch = coalesced;
   options.buffer_pages_per_disk = buffer_pages;
   options.deterministic_batch = buffer_pages > 0;
+  options.profile_phases = profile;
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), disks),
       options);
@@ -284,12 +304,19 @@ struct EndToEndResult {
   std::size_t dim = 0;
   std::size_t batch = 0;
   std::uint64_t buffer_pages = 0;
-  double exact_wall_ms = 0.0;
-  double quant_wall_ms = 0.0;
+  Timing exact_wall;
+  Timing quant_wall;
+  /// Ratio of the medians.
   double wall_speedup = 0.0;
+  // The quantized engine's prune funnel over the batch.
+  std::uint64_t candidates = 0;
+  std::uint64_t base_pruned = 0;
+  std::uint64_t sq8_pruned = 0;
   std::uint64_t pruned = 0;
   std::uint64_t reranked = 0;
   double prune_rate = 0.0;
+  /// Phase wall times of the quantized engine's profiled twin.
+  PhaseBreakdown phases;
   bool results_identical = false;
   bool pages_identical = false;
 };
@@ -315,7 +342,6 @@ EndToEndResult RunEndToEnd(const PointSet& data, const PointSet& queries,
   const std::vector<KnnResult> qr = quant->QueryBatch(queries, k, &qs, 1);
   row.results_identical = ResultsIdentical(er, qr);
   row.pages_identical = true;
-  std::uint64_t candidates = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     // An unbuffered engine's per-query pages are schedule-independent,
     // so they must match exactly; a buffered engine's per-query split
@@ -326,20 +352,35 @@ EndToEndResult RunEndToEnd(const PointSet& data, const PointSet& queries,
          qs[i].directory_pages != es[i].directory_pages)) {
       row.pages_identical = false;
     }
+    row.base_pruned += qs[i].base_pruned;
+    row.sq8_pruned += qs[i].sq8_pruned;
     row.pruned += qs[i].quantized_pruned;
     row.reranked += qs[i].reranked;
-    candidates += qs[i].quantized_pruned + qs[i].reranked;
   }
-  row.prune_rate = candidates > 0 ? static_cast<double>(row.pruned) /
-                                        static_cast<double>(candidates)
-                                  : 0.0;
+  row.candidates = row.pruned + row.reranked;
+  row.prune_rate = row.candidates > 0
+                       ? static_cast<double>(row.pruned) /
+                             static_cast<double>(row.candidates)
+                       : 0.0;
 
-  row.exact_wall_ms = BestOfMs(
+  row.exact_wall = Measure(
       reps, [&] { (void)exact->QueryBatch(queries, k, nullptr, 1); });
-  row.quant_wall_ms = BestOfMs(
+  row.quant_wall = Measure(
       reps, [&] { (void)quant->QueryBatch(queries, k, nullptr, 1); });
-  row.wall_speedup =
-      row.quant_wall_ms > 0.0 ? row.exact_wall_ms / row.quant_wall_ms : 0.0;
+  row.wall_speedup = row.quant_wall.median_ms > 0.0
+                         ? row.exact_wall.median_ms / row.quant_wall.median_ms
+                         : 0.0;
+
+  const auto profiled =
+      MakeEngine(data, disks, true, coalesced, buffer_pages, /*profile=*/true);
+  if (profiled == nullptr) {
+    std::fprintf(stderr, "engine build failed\n");
+    std::exit(1);
+  }
+  // Warm it like Measure warms the timed engines (leaf blocks, buffer
+  // pool), so the breakdown is of the steady state the timings measure.
+  (void)profiled->QueryBatch(queries, k, nullptr, 1);
+  (void)profiled->QueryBatch(queries, k, nullptr, 1, nullptr, &row.phases);
   return row;
 }
 
@@ -369,11 +410,12 @@ int Run(bool smoke) {
     all_ok = all_ok && r.emits_identical;
     std::printf(
         "  d=%2zu: %4zu groups / %5zu member-sweeps / %8llu candidates  "
-        "exact %7.3f ms -> quant %7.3f ms (%5.2fx)  pruned %5.1f%%  "
-        "identical=%s\n",
+        "exact %7.3f ms -> quant %7.3f ms (%5.2fx, iqr %.3f / %.3f)  "
+        "pruned %5.1f%%  identical=%s\n",
         r.dim, r.groups, r.member_sweeps,
-        static_cast<unsigned long long>(r.candidates), r.exact_ms, r.quant_ms,
-        r.speedup, 100.0 * r.prune_rate,
+        static_cast<unsigned long long>(r.candidates), r.exact.median_ms,
+        r.quant.median_ms, r.speedup, r.exact.iqr_ms, r.quant.iqr_ms,
+        100.0 * r.prune_rate,
         r.emits_identical ? "yes" : "NO (BUG)");
     sweeps.push_back(r);
   }
@@ -395,12 +437,24 @@ int Run(bool smoke) {
         all_ok = all_ok && row.results_identical && row.pages_identical;
         std::printf(
             "  d=%2zu batch=%2zu buffer=%3llu: wall %8.3f -> %8.3f ms "
-            "(%4.2fx)  pruned %5.1f%%  identical=%s pages=%s\n",
+            "(%4.2fx, iqr %.3f / %.3f)  pruned %5.1f%%  identical=%s "
+            "pages=%s\n",
             row.dim, row.batch,
             static_cast<unsigned long long>(row.buffer_pages),
-            row.exact_wall_ms, row.quant_wall_ms, row.wall_speedup,
+            row.exact_wall.median_ms, row.quant_wall.median_ms,
+            row.wall_speedup, row.exact_wall.iqr_ms, row.quant_wall.iqr_ms,
             100.0 * row.prune_rate, row.results_identical ? "yes" : "NO (BUG)",
             row.pages_identical ? "yes" : "NO (BUG)");
+        std::printf(
+            "      funnel: %llu candidates -> %llu after the base prune -> "
+            "%llu after sq8 (re-ranked)\n      phases:",
+            static_cast<unsigned long long>(row.candidates),
+            static_cast<unsigned long long>(row.candidates - row.base_pruned),
+            static_cast<unsigned long long>(row.reranked));
+        for (const Phase phase : kReportedPhases) {
+          std::printf(" %s=%.3f", PhaseName(phase), row.phases.of(phase));
+        }
+        std::printf(" ms\n");
         rows.push_back(row);
       }
     }
@@ -445,14 +499,17 @@ int Run(bool smoke) {
         json,
         "    {\"dim\": %zu, \"groups\": %zu, \"member_sweeps\": %zu, "
         "\"candidates\": %llu, \"pruned\": %llu, \"reranked\": %llu, "
-        "\"prune_rate\": %.4f, \"exact_ms\": %.4f, \"quant_ms\": %.4f, "
-        "\"speedup\": %.3f, \"emits_identical\": %s}%s\n",
+        "\"prune_rate\": %.4f, \"exact_ms\": %.4f, \"exact_min_ms\": %.4f, "
+        "\"exact_iqr_ms\": %.4f, \"quant_ms\": %.4f, \"quant_min_ms\": %.4f, "
+        "\"quant_iqr_ms\": %.4f, \"speedup\": %.3f, "
+        "\"emits_identical\": %s}%s\n",
         r.dim, r.groups, r.member_sweeps,
         static_cast<unsigned long long>(r.candidates),
         static_cast<unsigned long long>(r.pruned),
-        static_cast<unsigned long long>(r.reranked), r.prune_rate, r.exact_ms,
-        r.quant_ms, r.speedup, r.emits_identical ? "true" : "false",
-        i + 1 < sweeps.size() ? "," : "");
+        static_cast<unsigned long long>(r.reranked), r.prune_rate,
+        r.exact.median_ms, r.exact.min_ms, r.exact.iqr_ms, r.quant.median_ms,
+        r.quant.min_ms, r.quant.iqr_ms, r.speedup,
+        r.emits_identical ? "true" : "false", i + 1 < sweeps.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n");
   std::fprintf(json, "  \"end_to_end\": [\n");
@@ -461,22 +518,37 @@ int Run(bool smoke) {
     std::fprintf(
         json,
         "    {\"dim\": %zu, \"batch\": %zu, \"buffer_pages_per_disk\": %llu, "
-        "\"exact_wall_ms\": %.4f, \"quant_wall_ms\": %.4f, "
-        "\"wall_speedup\": %.3f, \"pruned\": %llu, \"reranked\": %llu, "
-        "\"prune_rate\": %.4f, \"results_identical\": %s, "
-        "\"pages_identical\": %s}%s\n",
+        "\"exact_wall_ms\": %.4f, \"exact_min_ms\": %.4f, "
+        "\"exact_iqr_ms\": %.4f, \"quant_wall_ms\": %.4f, "
+        "\"quant_min_ms\": %.4f, \"quant_iqr_ms\": %.4f, "
+        "\"wall_speedup\": %.3f,\n"
+        "     \"candidates\": %llu, \"base_pruned\": %llu, "
+        "\"sq8_pruned\": %llu, \"pruned\": %llu, \"reranked\": %llu, "
+        "\"prune_rate\": %.4f,\n     \"quant_phases_ms\": {",
         r.dim, r.batch, static_cast<unsigned long long>(r.buffer_pages),
-        r.exact_wall_ms, r.quant_wall_ms, r.wall_speedup,
+        r.exact_wall.median_ms, r.exact_wall.min_ms, r.exact_wall.iqr_ms,
+        r.quant_wall.median_ms, r.quant_wall.min_ms, r.quant_wall.iqr_ms,
+        r.wall_speedup, static_cast<unsigned long long>(r.candidates),
+        static_cast<unsigned long long>(r.base_pruned),
+        static_cast<unsigned long long>(r.sq8_pruned),
         static_cast<unsigned long long>(r.pruned),
-        static_cast<unsigned long long>(r.reranked), r.prune_rate,
-        r.results_identical ? "true" : "false",
-        r.pages_identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
+        static_cast<unsigned long long>(r.reranked), r.prune_rate);
+    for (const Phase phase : kReportedPhases) {
+      std::fprintf(json, "%s\"%s\": %.4f", phase == Phase::kDescent ? "" : ", ",
+                   PhaseName(phase), r.phases.of(phase));
+    }
+    std::fprintf(json,
+                 "},\n     \"results_identical\": %s, "
+                 "\"pages_identical\": %s}%s\n",
+                 r.results_identical ? "true" : "false",
+                 r.pages_identical ? "true" : "false",
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n");
   std::fprintf(json,
                "  \"headline\": {\"layer\": \"sweep\", \"dim\": 16, "
-               "\"speedup\": %.3f, \"prune_rate\": %.4f, "
-               "\"all_checks_passed\": %s}\n",
+               "\"speedup\": %.3f, \"floor\": 1.5, "
+               "\"prune_rate\": %.4f, \"all_checks_passed\": %s}\n",
                headline_speedup, headline_prune, all_ok ? "true" : "false");
   std::fprintf(json, "}\n");
   std::fclose(json);

@@ -9,6 +9,9 @@
 //   2. One-to-many kernel throughput (million distances / second),
 //      dispatched kernel vs the pre-dispatch scalar loop, per metric.
 //
+// Timing: every configuration runs once untimed, then `reps` timed runs;
+// the JSON records the median (the headline), min and IQR.
+//
 // Output: a human-readable table on stdout and BENCH_query_parallel.json
 // in the working directory. Scale with PARSIM_BENCH_N / PARSIM_BENCH_QUERIES;
 // pass --smoke for a seconds-scale CI run.
@@ -27,14 +30,14 @@
 #include "src/eval/throughput.h"
 #include "src/geometry/metric.h"
 #include "src/parallel/engine.h"
-#include "src/util/stopwatch.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
 namespace {
 
-using bench::BestOfMs;
 using bench::EnvSize;
+using bench::Measure;
+using bench::Timing;
 
 bool StatsBitIdentical(const std::vector<QueryStats>& a,
                        const std::vector<QueryStats>& b) {
@@ -53,8 +56,10 @@ bool StatsBitIdentical(const std::vector<QueryStats>& a,
 
 struct KernelRow {
   const char* name;
-  double scalar_mdps = 0.0;  // million distances per second, scalar loop
-  double simd_mdps = 0.0;    // same, dispatched kernel
+  Timing scalar;             // one pass over the points, scalar loop
+  Timing simd;               // same, dispatched kernel
+  double scalar_mdps = 0.0;  // million distances per second at the median
+  double simd_mdps = 0.0;
   double speedup = 0.0;
 };
 
@@ -68,13 +73,15 @@ KernelRow BenchKernel(const char* name, MetricKind kind,
 
   // Seed-style baseline: one scalar-kernel call per point.
   volatile double sink = 0.0;
-  const double scalar_ms = BestOfMs(reps, [&] {
+  KernelRow row;
+  row.name = name;
+  row.scalar = Measure(reps, [&] {
     double acc = 0.0;
     for (std::size_t i = 0; i < n; ++i) acc += scalar(query, points[i]);
     sink = acc;
   });
   // Dispatched one-to-many kernel, blocked like the scan drivers.
-  const double simd_ms = BestOfMs(reps, [&] {
+  row.simd = Measure(reps, [&] {
     constexpr std::size_t kBlock = 1024;
     for (std::size_t start = 0; start < n; start += kBlock) {
       const std::size_t m = std::min(kBlock, n - start);
@@ -84,10 +91,8 @@ KernelRow BenchKernel(const char* name, MetricKind kind,
     sink = dists[n - 1];
   });
 
-  KernelRow row;
-  row.name = name;
-  row.scalar_mdps = static_cast<double>(n) / (scalar_ms * 1e3);
-  row.simd_mdps = static_cast<double>(n) / (simd_ms * 1e3);
+  row.scalar_mdps = static_cast<double>(n) / (row.scalar.median_ms * 1e3);
+  row.simd_mdps = static_cast<double>(n) / (row.simd.median_ms * 1e3);
   row.speedup = row.simd_mdps / row.scalar_mdps;
   return row;
 }
@@ -126,25 +131,26 @@ int Run(bool smoke) {
   // --- Experiment 1: batch execution, serial vs pooled -----------------
   std::vector<QueryStats> serial_stats;
   std::vector<QueryStats> pooled_stats;
-  const int batch_reps = smoke ? 1 : 3;
-  (void)engine.QueryBatch(queries, k, nullptr, 1);  // warm-up
-  const double serial_ms = BestOfMs(batch_reps, [&] {
+  const int batch_reps = smoke ? 1 : 5;
+  const Timing serial = Measure(batch_reps, [&] {
     (void)engine.QueryBatch(queries, k, &serial_stats, 1);
   });
-  const double pooled_ms = BestOfMs(batch_reps, [&] {
+  const Timing pooled = Measure(batch_reps, [&] {
     (void)engine.QueryBatch(queries, k, &pooled_stats, pooled_threads);
   });
   const double serial_qps =
-      static_cast<double>(num_queries) / (serial_ms / 1000.0);
+      static_cast<double>(num_queries) / (serial.median_ms / 1000.0);
   const double pooled_qps =
-      static_cast<double>(num_queries) / (pooled_ms / 1000.0);
+      static_cast<double>(num_queries) / (pooled.median_ms / 1000.0);
   const bool identical = StatsBitIdentical(serial_stats, pooled_stats);
 
-  std::printf("\nQueryBatch wall-clock (best of %d):\n", batch_reps);
-  std::printf("  serial  (1 thread):  %8.2f ms  %10.1f qps\n", serial_ms,
-              serial_qps);
-  std::printf("  pooled  (%u threads): %8.2f ms  %10.1f qps  (%.2fx)\n",
-              pooled_threads, pooled_ms, pooled_qps, pooled_qps / serial_qps);
+  std::printf("\nQueryBatch wall-clock (median of %d):\n", batch_reps);
+  std::printf("  serial  (1 thread):  %8.2f ms (iqr %.2f)  %10.1f qps\n",
+              serial.median_ms, serial.iqr_ms, serial_qps);
+  std::printf(
+      "  pooled  (%u threads): %8.2f ms (iqr %.2f)  %10.1f qps  (%.2fx)\n",
+      pooled_threads, pooled.median_ms, pooled.iqr_ms, pooled_qps,
+      pooled_qps / serial_qps);
   std::printf("  simulated stats bit-identical across executions: %s\n",
               identical ? "yes" : "NO (BUG)");
 
@@ -159,7 +165,7 @@ int Run(bool smoke) {
   rows.push_back(BenchKernel("lmax", MetricKind::kLmax, &detail::LmaxScalar,
                              data, query, reps));
 
-  std::printf("\nOne-to-many kernel throughput (Mdist/s, best of %d):\n",
+  std::printf("\nOne-to-many kernel throughput (Mdist/s, median of %d):\n",
               reps);
   for (const KernelRow& row : rows) {
     std::printf("  %-10s scalar %8.1f   dispatched %8.1f   speedup %.2fx\n",
@@ -182,10 +188,16 @@ int Run(bool smoke) {
   std::fprintf(json, "  \"simd_enabled\": %s,\n",
                detail::SimdEnabled() ? "true" : "false");
   std::fprintf(json, "  \"query_batch\": {\n");
-  std::fprintf(json, "    \"serial_wall_ms\": %.3f,\n", serial_ms);
+  std::fprintf(json,
+               "    \"serial_wall_ms\": %.3f, \"serial_min_ms\": %.3f, "
+               "\"serial_iqr_ms\": %.3f,\n",
+               serial.median_ms, serial.min_ms, serial.iqr_ms);
   std::fprintf(json, "    \"serial_qps\": %.1f,\n", serial_qps);
   std::fprintf(json, "    \"pooled_threads\": %u,\n", pooled_threads);
-  std::fprintf(json, "    \"pooled_wall_ms\": %.3f,\n", pooled_ms);
+  std::fprintf(json,
+               "    \"pooled_wall_ms\": %.3f, \"pooled_min_ms\": %.3f, "
+               "\"pooled_iqr_ms\": %.3f,\n",
+               pooled.median_ms, pooled.min_ms, pooled.iqr_ms);
   std::fprintf(json, "    \"pooled_qps\": %.1f,\n", pooled_qps);
   std::fprintf(json, "    \"speedup\": %.3f,\n", pooled_qps / serial_qps);
   std::fprintf(json, "    \"stats_bit_identical\": %s\n",
@@ -193,11 +205,17 @@ int Run(bool smoke) {
   std::fprintf(json, "  },\n");
   std::fprintf(json, "  \"kernels\": {\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
+    const KernelRow& r = rows[i];
     std::fprintf(json,
                  "    \"%s\": {\"scalar_mdist_per_s\": %.1f, "
-                 "\"simd_mdist_per_s\": %.1f, \"speedup\": %.3f}%s\n",
-                 rows[i].name, rows[i].scalar_mdps, rows[i].simd_mdps,
-                 rows[i].speedup, i + 1 < rows.size() ? "," : "");
+                 "\"simd_mdist_per_s\": %.1f, \"speedup\": %.3f, "
+                 "\"scalar_ms\": %.4f, \"scalar_min_ms\": %.4f, "
+                 "\"scalar_iqr_ms\": %.4f, \"simd_ms\": %.4f, "
+                 "\"simd_min_ms\": %.4f, \"simd_iqr_ms\": %.4f}%s\n",
+                 r.name, r.scalar_mdps, r.simd_mdps, r.speedup,
+                 r.scalar.median_ms, r.scalar.min_ms, r.scalar.iqr_ms,
+                 r.simd.median_ms, r.simd.min_ms, r.simd.iqr_ms,
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(json, "  }\n");
   std::fprintf(json, "}\n");

@@ -1,8 +1,8 @@
 // Recall@k-vs-QPS curve of the approximate search tier. Plain main()
 // binary (no google-benchmark).
 //
-// Workload: anisotropic d=16 background (the cascade bench's family)
-// with hot-spot queries, plus k planted true neighbors per hotspot at
+// Workload: anisotropic d=16 background (bench::MakeAnisotropic) with
+// hot-spot queries, plus k planted true neighbors per hotspot at
 // geometrically spaced radii (see PlantNeighbors for why the spacing is
 // what makes the curve non-degenerate under distance concentration).
 // Ground truth comes from the linear-scan oracle via the recall harness
@@ -23,6 +23,10 @@
 //                distance (asserted), and the curve must trade recall
 //                for QPS monotonically.
 //
+// Timing: every engine runs one untimed warm-up batch, then `reps` timed
+// batches; QPS and the speedups derive from the median, and the JSON
+// also records min and IQR.
+//
 // Output: a table on stdout and BENCH_recall.json; exit 1 if any
 // identity/contract fails (or, outside --smoke, the acceptance floor:
 // some eps > 0 point with recall >= 0.95 runs >= 1.5x the exact QPS).
@@ -39,15 +43,20 @@
 #include <thread>
 #include <vector>
 
+#include "bench/microbench_common.h"
 #include "src/core/near_optimal.h"
 #include "src/eval/recall.h"
 #include "src/parallel/engine.h"
 #include "src/util/random.h"
-#include "src/util/stopwatch.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
 namespace {
+
+using bench::EnvSize;
+using bench::MakeAnisotropic;
+using bench::Measure;
+using bench::Timing;
 
 double EnvDouble(const char* name, double fallback) {
   const char* value = std::getenv(name);
@@ -59,56 +68,6 @@ double EnvDouble(const char* name, double fallback) {
     return fallback;
   }
   return parsed;
-}
-
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const std::size_t parsed =
-      static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-  if (parsed == 0) {
-    std::fprintf(stderr, "ignoring %s=\"%s\" (want a positive integer)\n",
-                 name, value);
-    return fallback;
-  }
-  return parsed;
-}
-
-template <typename Fn>
-double BestOfMs(int reps, const Fn& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch watch;
-    fn();
-    best = std::min(best, watch.ElapsedMillis());
-  }
-  return best;
-}
-
-/// Anisotropic point cloud (the cascade bench's family): dimension j's
-/// spread decays as decay^j. The recall bench defaults to a steeper
-/// decay than the cascade bench: a low intrinsic dimension spreads the
-/// true k-NN distances apart (d_k / d_1 well above 1), which is the
-/// regime where a (1+eps) slack sheds frontier work without losing the
-/// close neighbors. Near-isotropic high-d data concentrates all k
-/// distances within a few percent of each other, and then ANY eps large
-/// enough to skip pages also forfeits recall — there is no good curve
-/// to trade along, for this or any (1+eps)-bounded method.
-PointSet MakeAnisotropic(std::size_t n, std::size_t dim, double decay,
-                         unsigned seed) {
-  const PointSet base = GenerateUniform(n, dim, seed);
-  PointSet out(dim);
-  std::vector<Scalar> row(dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    const PointView p = base[i];
-    double spread = 1.0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      row[d] = static_cast<Scalar>(static_cast<double>(p[d]) * spread);
-      spread *= decay;
-    }
-    out.Add(PointView{row.data(), row.size()});
-  }
-  return out;
 }
 
 /// Plants `k` true neighbors around `center`, at geometrically spaced
@@ -177,7 +136,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.bulk_load_fill = 1.0;
   options.coalesced_batch = true;
   options.quantized_leaf_blocks = true;
-  options.cascade_prefix_stage = true;
   options.approx.enabled = approx_enabled;
   options.approx.epsilon = epsilon;
   auto engine = std::make_unique<ParallelSearchEngine>(
@@ -216,8 +174,8 @@ struct CurvePoint {
   double epsilon = 0.0;   // < 0 marks the exact anchor row
   double recall_mean = 1.0;
   double recall_min = 1.0;
-  double wall_ms = 0.0;
-  double qps = 0.0;
+  Timing wall;
+  double qps = 0.0;  // at the median wall time
   double speedup_vs_exact = 1.0;
   std::uint64_t total_pages = 0;
   std::uint64_t approx_skipped_nodes = 0;
@@ -321,11 +279,11 @@ int Run(bool smoke) {
     p.epsilon = -1.0;
     p.recall_mean = r.mean;
     p.recall_min = r.min;
-    p.wall_ms = BestOfMs(
+    p.wall = Measure(
         reps, [&] { (void)engine->QueryBatch(queries, k, nullptr, 1); });
-    p.qps = p.wall_ms > 0.0
-                ? static_cast<double>(num_queries) / (p.wall_ms / 1000.0)
-                : 0.0;
+    p.qps = p.wall.median_ms > 0.0 ? static_cast<double>(num_queries) /
+                                         (p.wall.median_ms / 1000.0)
+                                   : 0.0;
     exact_qps = p.qps;
     for (const QueryStats& s : exact_stats) {
       p.total_pages += s.total_pages;
@@ -342,7 +300,8 @@ int Run(bool smoke) {
     std::printf(
         "\n  exact    : recall 1.000000  wall %8.3f ms  qps %9.1f  pages "
         "%llu\n",
-        p.wall_ms, p.qps, static_cast<unsigned long long>(p.total_pages));
+        p.wall.median_ms, p.qps,
+        static_cast<unsigned long long>(p.total_pages));
   }
 
   // --- Epsilon sweep -------------------------------------------------------
@@ -357,11 +316,11 @@ int Run(bool smoke) {
     const RecallStats r = ScoreRecall(results, truth, k);
     p.recall_mean = r.mean;
     p.recall_min = r.min;
-    p.wall_ms = BestOfMs(
+    p.wall = Measure(
         reps, [&] { (void)engine->QueryBatch(queries, k, nullptr, 1); });
-    p.qps = p.wall_ms > 0.0
-                ? static_cast<double>(num_queries) / (p.wall_ms / 1000.0)
-                : 0.0;
+    p.qps = p.wall.median_ms > 0.0 ? static_cast<double>(num_queries) /
+                                         (p.wall.median_ms / 1000.0)
+                                   : 0.0;
     p.speedup_vs_exact = exact_qps > 0.0 ? p.qps / exact_qps : 0.0;
     for (const QueryStats& s : stats) {
       p.total_pages += s.total_pages;
@@ -385,7 +344,7 @@ int Run(bool smoke) {
     std::printf(
         "  eps=%-4.2f : recall %.6f (min %.6f)  wall %8.3f ms  qps %9.1f "
         "(%.2fx)  pages %llu  skipped %llu  exact-pruned %llu\n",
-        eps, p.recall_mean, p.recall_min, p.wall_ms, p.qps,
+        eps, p.recall_mean, p.recall_min, p.wall.median_ms, p.qps,
         p.speedup_vs_exact, static_cast<unsigned long long>(p.total_pages),
         static_cast<unsigned long long>(p.approx_skipped_nodes),
         static_cast<unsigned long long>(p.approx_pruned_exactly));
@@ -465,10 +424,12 @@ int Run(bool smoke) {
     std::fprintf(
         json,
         "\"recall_mean\": %.6f, \"recall_min\": %.6f, \"wall_ms\": %.4f, "
+        "\"wall_min_ms\": %.4f, \"wall_iqr_ms\": %.4f, "
         "\"qps\": %.2f, \"speedup_vs_exact\": %.4f, \"total_pages\": %llu, "
         "\"approx_skipped_nodes\": %llu, \"approx_pruned_exactly\": %llu, "
         "\"quantized_pruned\": %llu, \"contract_ok\": %s}%s\n",
-        p.recall_mean, p.recall_min, p.wall_ms, p.qps, p.speedup_vs_exact,
+        p.recall_mean, p.recall_min, p.wall.median_ms, p.wall.min_ms,
+        p.wall.iqr_ms, p.qps, p.speedup_vs_exact,
         static_cast<unsigned long long>(p.total_pages),
         static_cast<unsigned long long>(p.approx_skipped_nodes),
         static_cast<unsigned long long>(p.approx_pruned_exactly),

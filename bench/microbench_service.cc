@@ -1,7 +1,7 @@
 // Microbenchmark of the production query service front-end: open-loop
 // arrival sweep (Poisson arrivals at a sustained QPS) over a mixed
-// cheap/expensive workload, adaptive batch formation vs. the fixed
-// round-expander baseline, admission-control backpressure, and
+// cheap/expensive workload, continuous admission at a fixed round width
+// vs. the closed-batch round-expander baseline, admission-control backpressure, and
 // deadline/budget early termination. Plain main() binary.
 //
 // Sections:
@@ -10,13 +10,13 @@
 //   * capacity   — closed-loop Drain throughput of the mixed workload,
 //                  used to calibrate the arrival sweep across machines;
 //   * sweep      — for each offered rate (fractions of capacity) and
-//                  each mode (adaptive, fixed), an open-loop run
+//                  each mode (continuous, fixed), an open-loop run
 //                  reporting per-class p50/p95/p99 latency, queueing
 //                  delay, rejections, and expirations. Fixed mode only
 //                  opens a new batch when the previous one fully drains,
 //                  so cheap interactive queries convoy behind bulk
-//                  scans; adaptive admission joins them into the next
-//                  round. The headline check requires adaptive to beat
+//                  scans; continuous admission joins them into the next
+//                  round. The headline check requires continuous to beat
 //                  fixed on interactive p50/p95/p99 at the highest rate;
 //   * deadline   — per-query page budgets provably stop work early:
 //                  budgeted runs expire with page counters strictly
@@ -64,12 +64,12 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   return engine;
 }
 
-ServiceOptions MakeServiceOptions(bool adaptive) {
+ServiceOptions MakeServiceOptions(bool continuous) {
   ServiceOptions options;
-  options.adaptive_batch = adaptive;
+  options.adaptive_batch = continuous;
   options.max_queue = 512;
   options.max_batch = 64;
-  options.min_batch = 4;
+  options.round_width = 4;
   return options;
 }
 
@@ -102,10 +102,9 @@ double MeasureCapacityQps(const ParallelSearchEngine& engine,
 struct SweepRow {
   double load_fraction = 0.0;
   double offered_qps = 0.0;
-  bool adaptive = false;
+  bool continuous = false;
   OpenLoopResult open_loop;
   std::uint64_t service_rounds = 0;
-  double ema_prune_rate = 0.0;
 };
 
 }  // namespace
@@ -185,8 +184,8 @@ int Run(bool smoke) {
       smoke ? std::vector<double>{0.5} : std::vector<double>{0.25, 0.5, 0.8};
   std::vector<SweepRow> rows;
   for (const double load : load_fractions) {
-    for (const bool adaptive : {true, false}) {
-      QueryService service(*engine, MakeServiceOptions(adaptive));
+    for (const bool continuous : {true, false}) {
+      QueryService service(*engine, MakeServiceOptions(continuous));
       service.Start();
       OpenLoopOptions olo;
       olo.arrival_qps = capacity_qps * load;
@@ -198,19 +197,17 @@ int Run(bool smoke) {
       SweepRow row;
       row.load_fraction = load;
       row.offered_qps = olo.arrival_qps;
-      row.adaptive = adaptive;
+      row.continuous = continuous;
       row.open_loop = RunOpenLoop(service, queries, olo);
       service.Stop();
-      const ServiceMetrics metrics = service.metrics();
-      row.service_rounds = metrics.rounds;
-      row.ema_prune_rate = metrics.ema_prune_rate;
+      row.service_rounds = service.metrics().rounds;
       rows.push_back(row);
       const OpenLoopResult& r = row.open_loop;
       std::printf(
           "  load=%.2f (%6.0f qps) %-8s: interactive p50/p95/p99 = "
           "%7.2f/%7.2f/%7.2f ms  bulk p95 = %8.2f ms  queue %7.2f ms  "
           "rejected %zu\n",
-          load, row.offered_qps, adaptive ? "adaptive" : "fixed",
+          load, row.offered_qps, continuous ? "continuous" : "fixed",
           r.interactive.p50_ms, r.interactive.p95_ms, r.interactive.p99_ms,
           r.bulk.p95_ms, r.mean_queue_ms, r.rejected);
     }
@@ -259,23 +256,24 @@ int Run(bool smoke) {
       pages_strictly_below ? "yes" : "NO (BUG)");
   all_ok = all_ok && deadline_ok;
 
-  // --- Acceptance: adaptive beats fixed at the highest offered rate -----
-  const SweepRow* top_adaptive = nullptr;
+  // --- Acceptance: continuous beats fixed at the highest offered rate ---
+  const SweepRow* top_continuous = nullptr;
   const SweepRow* top_fixed = nullptr;
   for (const SweepRow& row : rows) {
     if (row.load_fraction == load_fractions.back()) {
-      (row.adaptive ? top_adaptive : top_fixed) = &row;
+      (row.continuous ? top_continuous : top_fixed) = &row;
     }
   }
   bool sweep_ok = true;
-  if (top_adaptive != nullptr && top_fixed != nullptr) {
-    const LatencyProfile& a = top_adaptive->open_loop.interactive;
+  if (top_continuous != nullptr && top_fixed != nullptr) {
+    const LatencyProfile& a = top_continuous->open_loop.interactive;
     const LatencyProfile& f = top_fixed->open_loop.interactive;
     sweep_ok = a.p50_ms < f.p50_ms && a.p95_ms < f.p95_ms &&
                a.p99_ms < f.p99_ms;
     std::printf(
-        "headline (load=%.2f, interactive): adaptive %7.2f/%7.2f/%7.2f ms "
-        "vs fixed %7.2f/%7.2f/%7.2f ms -> adaptive wins p50/p95/p99: %s\n",
+        "headline (load=%.2f, interactive): continuous %7.2f/%7.2f/%7.2f "
+        "ms vs fixed %7.2f/%7.2f/%7.2f ms -> continuous wins p50/p95/p99: "
+        "%s\n",
         load_fractions.back(), a.p50_ms, a.p95_ms, a.p99_ms, f.p50_ms,
         f.p95_ms, f.p99_ms, sweep_ok ? "yes" : "NO");
   }
@@ -307,16 +305,16 @@ int Run(bool smoke) {
         "\"mode\": \"%s\", \"accepted\": %zu, \"rejected\": %zu, "
         "\"expired\": %zu, \"achieved_qps\": %.1f, "
         "\"mean_queue_ms\": %.3f, \"mean_rounds\": %.2f, "
-        "\"service_rounds\": %llu, \"ema_prune_rate\": %.3f, "
+        "\"service_rounds\": %llu, "
         "\"interactive\": {\"count\": %zu, \"p50_ms\": %.3f, "
         "\"p95_ms\": %.3f, \"p99_ms\": %.3f, \"max_ms\": %.3f}, "
         "\"bulk\": {\"count\": %zu, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
         "\"p99_ms\": %.3f, \"max_ms\": %.3f}}%s\n",
         row.load_fraction, row.offered_qps,
-        row.adaptive ? "adaptive" : "fixed", r.accepted, r.rejected,
+        row.continuous ? "continuous" : "fixed", r.accepted, r.rejected,
         r.expired, r.achieved_qps, r.mean_queue_ms, r.mean_rounds,
         static_cast<unsigned long long>(row.service_rounds),
-        row.ema_prune_rate, r.interactive.count, r.interactive.p50_ms,
+        r.interactive.count, r.interactive.p50_ms,
         r.interactive.p95_ms, r.interactive.p99_ms, r.interactive.max_ms,
         r.bulk.count, r.bulk.p50_ms, r.bulk.p95_ms, r.bulk.p99_ms,
         r.bulk.max_ms, i + 1 < rows.size() ? "," : "");
@@ -334,7 +332,7 @@ int Run(bool smoke) {
                "  \"identity\": {\"bit_identical_to_query_batch\": %s},\n",
                identity_ok ? "true" : "false");
   std::fprintf(json,
-               "  \"headline\": {\"adaptive_beats_fixed_interactive\": %s, "
+               "  \"headline\": {\"continuous_beats_fixed_interactive\": %s, "
                "\"all_checks_passed\": %s}\n",
                sweep_ok ? "true" : "false", all_ok ? "true" : "false");
   std::fprintf(json, "}\n");

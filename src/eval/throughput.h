@@ -65,12 +65,10 @@ struct ThroughputResult {
   // Quantized-sweep aggregates (summed per-query counts). All zero
   // unless the engine runs with quantized_leaf_blocks.
   /// Leaf candidates the SQ8 lower bound eliminated before exact work
-  /// (always base_pruned + prefix_pruned + sq8_pruned).
+  /// (always base_pruned + sq8_pruned).
   std::uint64_t quantized_pruned = 0;
   /// ... of which: killed wholesale by the per-block query bound.
   std::uint64_t base_pruned = 0;
-  /// ... of which: killed by the prefix-dimension cascade stage.
-  std::uint64_t prefix_pruned = 0;
   /// ... of which: killed by the full-dimension SQ8 reduction.
   std::uint64_t sq8_pruned = 0;
   /// Leaf candidates re-ranked through the exact float kernels.

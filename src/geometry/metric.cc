@@ -464,10 +464,9 @@ __attribute__((target("avx2"))) std::uint32_t Sq8MadAvx2(const std::uint8_t* a,
 /// fast paths) multiple candidates' accumulators are reduced together
 /// through one hadd tree — the per-pair indirect call and per-pair
 /// horizontal sum of a naive loop are what made the integer sweep lose
-/// to the float block kernels. The small dims (4, 8) exist for the
-/// cascade's prefix stage, where one 16-byte load carries 4 or 2 whole
-/// rows: a prefix pass MUST be cheaper per row than the full-dimension
-/// pass it gates, which a one-row-per-load shape is not. Reductions are
+/// to the float block kernels. At the small dims (4, 8) one 16-byte load
+/// carries 4 or 2 whole rows, so full-dimension SQ8 at d = 4 / 8 pays
+/// less per row than a one-row-per-load shape would. Reductions are
 /// exact integer sums, so any evaluation order is bit-identical to the
 /// scalar reference. Row loads are exact-width (16B at d=16, 2x16B at
 /// d=32, whole rows per 16B at d=4/8; sub-16B tails take narrow loads or
@@ -1361,11 +1360,6 @@ struct KernelTable {
   Sq8ManyUnderKernel sq8_sad_many_under;
   Sq8ManyUnderKernel sq8_ssd_many_under;
   Sq8ManyUnderKernel sq8_mad_many_under;
-  /// The pair reductions behind the many-kernels, exposed for scattered
-  /// single-row evaluation (cascade survivor rechecks).
-  Sq8PairFn sq8_sad;
-  Sq8PairFn sq8_ssd;
-  Sq8PairFn sq8_mad;
   /// One-query-to-many-rectangles MINDIST (the descent's kernel).
   RectManyKernel mindist_l1_many;
   RectManyKernel mindist_l2_many;
@@ -1382,7 +1376,6 @@ KernelTable PickKernels() {
             SquaredL2BlockAvx2,   L1BlockAvx2,         LmaxBlockAvx2,
             Sq8SadManyAvx2,       Sq8SsdManyAvx2,      Sq8MadManyAvx2,
             Sq8SadManyUnderAvx2,  Sq8SsdManyUnderAvx2, Sq8MadManyUnderAvx2,
-            Sq8SadAvx2,           Sq8SsdAvx2,          Sq8MadAvx2,
             MinDistManyAvx2<MetricKind::kL1>,
             MinDistManyAvx2<MetricKind::kL2>,
             MinDistManyAvx2<MetricKind::kLmax>,
@@ -1394,7 +1387,6 @@ KernelTable PickKernels() {
           Sq8SadManyUnrolled,      Sq8SsdManyUnrolled,   Sq8MadManyUnrolled,
           Sq8SadManyUnderUnrolled, Sq8SsdManyUnderUnrolled,
           Sq8MadManyUnderUnrolled,
-          Sq8SadUnrolled,          Sq8SsdUnrolled,       Sq8MadUnrolled,
           MinDistManyReference<MetricKind::kL1>,
           MinDistManyReference<MetricKind::kL2>,
           MinDistManyReference<MetricKind::kLmax>,
@@ -1475,18 +1467,6 @@ ComparableFn Metric::comparable_fn() const {
       return Kernels().squared_l2;
     case MetricKind::kLmax:
       return Kernels().lmax;
-  }
-  PARSIM_UNREACHABLE();
-}
-
-Sq8PairFn Metric::sq8_pair_fn() const {
-  switch (kind_) {
-    case MetricKind::kL1:
-      return Kernels().sq8_sad;
-    case MetricKind::kL2:
-      return Kernels().sq8_ssd;
-    case MetricKind::kLmax:
-      return Kernels().sq8_mad;
   }
   PARSIM_UNREACHABLE();
 }

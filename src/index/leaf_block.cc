@@ -5,7 +5,7 @@
 namespace parsim {
 
 void LeafBlock::BuildFrom(const Node& leaf, std::size_t dimension,
-                          bool quantize, bool prefix) {
+                          bool quantize) {
   PARSIM_DCHECK(leaf.IsLeaf());
   count = leaf.entries.size();
   dim = dimension;
@@ -16,7 +16,6 @@ void LeafBlock::BuildFrom(const Node& leaf, std::size_t dimension,
   has_sq8 = quantize;
   if (quantize) {
     sq8.BuildFrom(coords.data(), count, dim);
-    if (prefix) sq8.BuildDefaultPrefix();
   } else {
     sq8 = Sq8Mirror{};
   }
@@ -69,7 +68,7 @@ const LeafBlock& LeafBlockCache::Get(const Node& leaf,
                                      std::size_t dim) const {
   PARSIM_DCHECK(leaf.IsLeaf());
   return Materialize(leaf, [&](Slot& slot) {
-           slot.block.BuildFrom(leaf, dim, quantize_, prefix_);
+           slot.block.BuildFrom(leaf, dim, quantize_);
          }).block;
 }
 

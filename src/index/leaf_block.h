@@ -61,11 +61,9 @@ struct LeafBlock {
   }
 
   /// Rebuilds this block from `leaf` (entries in order); with `quantize`
-  /// also (re)builds the SQ8 mirror from the gathered coordinates, and
-  /// with `prefix` additionally its default variance-ordered prefix
-  /// stage (the progressive precision cascade's first tier).
+  /// also (re)builds the SQ8 mirror from the gathered coordinates.
   void BuildFrom(const Node& leaf, std::size_t dimension,
-                 bool quantize = false, bool prefix = false);
+                 bool quantize = false);
 };
 
 /// The SoA layout of one interior node: its children's MBRs
@@ -108,11 +106,6 @@ class LeafBlockCache {
   void set_quantize(bool on) { quantize_ = on; }
   bool quantize() const { return quantize_; }
 
-  /// Whether SQ8 mirrors also carry the prefix-dimension cascade stage.
-  /// Same mutation-side contract as set_quantize.
-  void set_prefix(bool on) { prefix_ = on; }
-  bool prefix() const { return prefix_; }
-
   /// The current block of `leaf`, building it if stale or absent.
   const LeafBlock& Get(const Node& leaf, std::size_t dim) const;
 
@@ -149,7 +142,6 @@ class LeafBlockCache {
   std::uint64_t epoch_ = 1;
   /// Mutation-side settings read by Get's (re)builds.
   bool quantize_ = false;
-  bool prefix_ = false;
 };
 
 }  // namespace parsim

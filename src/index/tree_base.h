@@ -23,6 +23,7 @@
 #include "src/index/leaf_sweep.h"
 #include "src/index/node.h"
 #include "src/io/disk.h"
+#include "src/util/check.h"
 #include "src/util/status.h"
 
 namespace parsim {
@@ -182,26 +183,18 @@ class TreeBase {
   }
   bool quantized_leaf_blocks() const { return leaf_blocks_.quantize(); }
 
-  /// Whether SQ8 mirrors also carry the variance-ordered prefix stage
-  /// (the progressive precision cascade's first tier; see
-  /// src/geometry/sq8.h). Same mutation-side contract and bit-identity
-  /// guarantee as set_quantized_leaf_blocks. No effect on sweeps unless
-  /// quantized leaf blocks are also enabled.
-  void set_sq8_prefix_stage(bool on) {
-    leaf_blocks_.set_prefix(on);
-    InvalidateLeafBlocks();
-  }
-  bool sq8_prefix_stage() const { return leaf_blocks_.prefix(); }
+  /// Accepts only false: perfbench/ names it; delete it with that reference.
+  void set_sq8_prefix_stage(bool on) { PARSIM_CHECK(!on); }
 
   /// Prebuilds the SoA block of every node — each leaf's LeafBlock (and,
-  /// when enabled, its SQ8 mirror plus prefix stage) and each interior
-  /// node's DirBlock — over `pool` when given (nullptr runs on the
-  /// caller). Blocks are derived state built lazily on first access, so
-  /// without warming the first query wave after a build silently pays
-  /// the epoch-cache construction; benchmarks and the throughput harness
-  /// call this so they measure steady state. Charges nothing — block
-  /// builds never meter pages or CPU (only AccessNode does) — and is
-  /// safe to omit entirely.
+  /// when enabled, its SQ8 mirror) and each interior node's DirBlock —
+  /// over `pool` when given (nullptr runs on the caller). Blocks are
+  /// derived state built lazily on first access, so without warming the
+  /// first query wave after a build silently pays the epoch-cache
+  /// construction; benchmarks and the throughput harness call this so
+  /// they measure steady state. Charges nothing — block builds never
+  /// meter pages or CPU (only AccessNode does) — and is safe to omit
+  /// entirely.
   void WarmLeafBlocks(ThreadPool* pool = nullptr) const;
 
   /// Reads a node without charging (tests / diagnostics only).

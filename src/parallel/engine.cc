@@ -75,10 +75,7 @@ ParallelSearchEngine::ParallelSearchEngine(
   if (options_.quantized_leaf_blocks) {
     // Tree architectures only: kFederatedScan sweeps packed pages, not
     // leaf blocks, so the loop is empty there and the flag is a no-op.
-    for (auto& t : trees_) {
-      t->set_quantized_leaf_blocks(true);
-      t->set_sq8_prefix_stage(options_.cascade_prefix_stage);
-    }
+    for (auto& t : trees_) t->set_quantized_leaf_blocks(true);
   }
   if (options_.approx.enabled && options_.approx.epsilon > 0.0) {
     PARSIM_CHECK(options_.approx.epsilon < 1e9);  // catch garbage knobs
@@ -261,7 +258,7 @@ Status ParallelSearchEngine::Build(const PointSet& points) {
   InvalidateLeafRoutes();
   if (build_pool != nullptr) {
     // Parallel post-build warm-up: the SoA blocks (leaf blocks with
-    // SQ8/prefix mirrors when enabled, interior-node DirBlocks) and the
+    // SQ8 mirrors when enabled, interior-node DirBlocks) and the
     // memoized leaf routes are derived state that queries otherwise
     // build lazily — fan both out over the build pool so the first query
     // wave measures steady state. Neither charges pages or CPU, so
@@ -413,7 +410,6 @@ QueryStats ParallelSearchEngine::StatsFromAccumulator(
   stats.block_kernel_invocations = host.block_kernel_invocations;
   stats.quantized_pruned = host.quantized_pruned;
   stats.base_pruned = host.base_pruned;
-  stats.prefix_pruned = host.prefix_pruned;
   stats.sq8_pruned = host.sq8_pruned;
   stats.reranked = host.reranked;
   stats.leaf_bytes_scanned = host.leaf_bytes_scanned;
@@ -449,7 +445,6 @@ QueryStats ParallelSearchEngine::StatsFromAccumulator(
     stats.block_kernel_invocations += s.block_kernel_invocations;
     stats.quantized_pruned += s.quantized_pruned;
     stats.base_pruned += s.base_pruned;
-    stats.prefix_pruned += s.prefix_pruned;
     stats.sq8_pruned += s.sq8_pruned;
     stats.reranked += s.reranked;
     stats.leaf_bytes_scanned += s.leaf_bytes_scanned;

@@ -96,7 +96,7 @@ struct ApproxOptions {
   bool enabled = false;
   /// The (1+eps) slack. 0 keeps the search exact even when enabled.
   double epsilon = 0.0;
-  /// Mechanism (a), bound relaxation: scale the SQ8/prefix PruneCutoff
+  /// Mechanism (a), bound relaxation: scale the SQ8 PruneCutoff
   /// guard so leaf candidates whose lower bound clears the exact
   /// threshold but not threshold/(1+eps) are dropped without a re-rank.
   /// Needs quantized_leaf_blocks (the exact sweep has no cutoff).
@@ -173,15 +173,8 @@ struct EngineOptions {
   /// leaf_bytes_scanned counters audit the saving. Tree architectures
   /// only (kFederatedScan has no leaf blocks and ignores the flag).
   bool quantized_leaf_blocks = false;
-  /// Give every SQ8 mirror a variance-ordered prefix-dimension stage and
-  /// run the progressive precision cascade in leaf sweeps: a d'-dim
-  /// integer kernel kills most candidates before the full-d SQ8 kernel
-  /// sees the survivors, which then feed the exact re-rank as before.
-  /// Results, distances and page counts stay bit-identical; only
-  /// leaf_bytes_scanned and the stage-attribution counters
-  /// (prefix_pruned / sq8_pruned) change. No effect unless
-  /// quantized_leaf_blocks is also set.
-  bool cascade_prefix_stage = true;
+  /// Always false: perfbench/ names it; delete it with that reference.
+  static constexpr bool cascade_prefix_stage = false;
   /// Attribute wall-clock time to query phases (descent, frontier ops,
   /// simulated-I/O accounting, leaf-sweep stages; see
   /// src/util/phase_timer.h) and report it in QueryStats::phases /
@@ -251,16 +244,12 @@ struct QueryStats {
   // Quantized-sweep accounting. All zero unless the engine was built
   // with quantized_leaf_blocks.
   /// Leaf candidates the SQ8 lower bound eliminated before exact work.
-  /// Always base_pruned + prefix_pruned + sq8_pruned — the same total
-  /// whether or not the prefix stage is enabled.
+  /// Always base_pruned + sq8_pruned.
   std::uint64_t quantized_pruned = 0;
   /// ... of which: killed wholesale by the per-block query bound (the
   /// block's best case already missed the threshold; no per-candidate
   /// kernel work at all).
   std::uint64_t base_pruned = 0;
-  /// ... of which: killed by the prefix-dimension first pass (cascade
-  /// stage 1). Zero unless cascade_prefix_stage built a prefix.
-  std::uint64_t prefix_pruned = 0;
   /// ... of which: killed by the full-dimension SQ8 reduction.
   std::uint64_t sq8_pruned = 0;
   /// Leaf candidates re-ranked through the exact float kernel. For
@@ -320,7 +309,7 @@ class ParallelSearchEngine {
   /// itself is parallel: every BulkLoad phase fans out over the shared
   /// pool (see TreeBase::BulkLoad — the tree and the simulated disk
   /// counters stay bit-identical to the serial build), and the
-  /// post-build warm-up — leaf SoA blocks with their SQ8/prefix mirrors,
+  /// post-build warm-up — leaf SoA blocks with their SQ8 mirrors,
   /// plus the memoized leaf→disk routes and replica buckets — fans out
   /// over the same pool so the first query wave starts from steady
   /// state. Warm-up builds derived state only and charges nothing.
@@ -386,7 +375,7 @@ class ParallelSearchEngine {
                                     PhaseBreakdown* phases = nullptr) const;
 
   /// Prebuilds every node's SoA block on all trees — each leaf's block
-  /// (and SQ8 mirror + prefix stage, when enabled) and each interior
+  /// (and SQ8 mirror, when enabled) and each interior
   /// node's DirBlock — over `threads` pool workers when > 1.
   /// Charges nothing. Benchmarks and the throughput harness call this so
   /// timed runs measure steady state rather than first-touch block
@@ -417,7 +406,7 @@ class ParallelSearchEngine {
   /// SimilarityQuery), sorted by (a, b) with a < b. Candidate leaf-block
   /// pairs are pruned by MBR MINDIST, each distinct leaf page is fetched
   /// once (further pairs sharing it record coalesced reads), and the
-  /// surviving pairs sweep through the SQ8/prefix cascade as block rows
+  /// surviving pairs sweep through the SQ8 bound as block rows
   /// fanned over the worker pool — see src/parallel/join.h. Results and
   /// every JoinStats counter are invariant across thread counts.
   /// kSharedTree only. Thread-safe like Query; not against

@@ -76,7 +76,6 @@ void AddSweep(LeafSweepStats* into, const LeafSweepStats& s) {
   into->exact_distances += s.exact_distances;
   into->quantized_pruned += s.quantized_pruned;
   into->base_pruned += s.base_pruned;
-  into->prefix_pruned += s.prefix_pruned;
   into->sq8_pruned += s.sq8_pruned;
   into->reranked += s.reranked;
   into->approx_pruned_exactly += s.approx_pruned_exactly;
@@ -618,7 +617,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
       }
       const LeafBlock& bj = tree_.LeafBlockOf(node_j);
       // Cross pair: the owner row's points are the "queries" swept
-      // against block j — one many-to-many kernel, SQ8 cascade and all,
+      // against block j — one many-to-many kernel, SQ8 bound and all,
       // with the join's fixed threshold (it never tightens, unlike a
       // k-NN heap bound).
       member_stats.assign(bi.count, LeafSweepStats{});
@@ -664,7 +663,6 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
     stats->exact_distances += out.sweep.exact_distances;
     stats->quantized_pruned += out.sweep.quantized_pruned;
     stats->base_pruned += out.sweep.base_pruned;
-    stats->prefix_pruned += out.sweep.prefix_pruned;
     stats->sq8_pruned += out.sweep.sq8_pruned;
     stats->reranked += out.sweep.reranked;
     stats->leaf_bytes_scanned += out.sweep.leaf_bytes_scanned;

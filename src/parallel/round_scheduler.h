@@ -59,27 +59,12 @@ class HsRoundScheduler {
   std::size_t Add(PointView query, std::size_t k, QueryCostAccumulator* acc,
                   std::uint64_t max_pages = 0);
 
-  /// Aggregate outcome of one round, feeding adaptive batch formation.
-  struct RoundStats {
-    /// Distinct nodes fetched (groups formed).
-    std::size_t groups = 0;
-    /// Query-node expansions served (>= groups; the difference is
-    /// coalesced rides).
-    std::size_t members = 0;
-    /// Leaf candidates killed before exact work (quantized bounds +
-    /// frontier cutoff/approx skips) across the round.
-    std::uint64_t pruned = 0;
-    /// Leaf candidates that reached an exact float kernel.
-    std::uint64_t scored = 0;
-  };
-
   /// Runs one coalesced round over every running query: budget-expires
   /// exhausted slots, collects requests, fetches each distinct node once
   /// (serial, ascending (node, slot) order), expands groups over `pool`
   /// (nullptr = serial). Returns the number of still-running queries;
-  /// 0 means every admitted query is finished or expired. `round`
-  /// (nullable) receives this round's aggregates.
-  std::size_t Step(ThreadPool* pool, RoundStats* round = nullptr);
+  /// 0 means every admitted query is finished or expired.
+  std::size_t Step(ThreadPool* pool);
 
   /// True while the slot has neither finished nor expired.
   bool IsRunning(std::size_t slot) const {
@@ -145,10 +130,6 @@ class HsRoundScheduler {
     std::size_t end;
     const Node* accessed = nullptr;
     TreeBase::DiskRoute route;
-    // Per-group prune/score aggregates, summed into RoundStats after
-    // the (possibly parallel) expansion phase.
-    std::uint64_t pruned = 0;
-    std::uint64_t scored = 0;
   };
   std::vector<std::pair<NodeId, std::size_t>> requests_;  // (node, slot)
   std::vector<Group> groups_;

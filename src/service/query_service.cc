@@ -29,11 +29,9 @@ QueryService::QueryService(const ParallelSearchEngine& engine,
   PARSIM_CHECK(engine.options().architecture == Architecture::kSharedTree);
   PARSIM_CHECK(engine.options().knn_algorithm == KnnAlgorithm::kHs);
   PARSIM_CHECK(options_.max_queue >= 1);
-  PARSIM_CHECK(options_.min_batch >= 1);
-  PARSIM_CHECK(options_.max_batch >= options_.min_batch);
+  PARSIM_CHECK(options_.round_width >= 1);
+  PARSIM_CHECK(options_.max_batch >= 1);
   PARSIM_CHECK(options_.interactive_weight >= 1);
-  PARSIM_CHECK(options_.prune_ema_alpha > 0.0 &&
-               options_.prune_ema_alpha <= 1.0);
   if (options_.threads > 1) pool_ = engine.EnsurePool(options_.threads);
 }
 
@@ -71,23 +69,6 @@ Status QueryService::Submit(PointView query,
   return Status::Ok();
 }
 
-std::size_t QueryService::TargetWidth(std::size_t waiting) const {
-  // Demand is everyone who wants service right now; the prune-rate EMA
-  // damps how much of it one round takes on. Cheap rounds (everything
-  // pruned before exact work) widen to the full demand; expensive ones
-  // narrow toward min_batch, keeping rounds short so newly arriving
-  // latency-sensitive queries join quickly.
-  const std::size_t demand = scheduler_.running() + waiting;
-  const std::size_t lo = options_.min_batch;
-  const std::size_t hi = options_.max_batch;
-  if (demand <= lo) return lo;
-  const std::size_t capped = std::min(demand, hi);
-  const double span = static_cast<double>(capped - lo);
-  const std::size_t width =
-      lo + static_cast<std::size_t>(span * ema_prune_ + 0.5);
-  return std::min(width, hi);
-}
-
 void QueryService::AdmitLocked(std::size_t budget,
                                std::vector<Pending>* admitted) {
   std::deque<Pending>& interactive = queues_[0];
@@ -117,24 +98,21 @@ void QueryService::AdmitLocked(std::size_t budget,
 }
 
 void QueryService::PumpOnce() {
-  // 1. Admission. Adaptive mode admits between every round up to the
-  // adaptive width; fixed mode (the round-expander baseline) only opens
-  // a new closed batch once the previous one fully finished.
+  // 1. Admission. Continuous mode tops the running queries up to
+  // round_width between every round; fixed mode (the round-expander
+  // baseline) only opens a new closed batch once the previous one fully
+  // finished.
   std::vector<Pending> admitted;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t waiting = PendingLocked();
-    if (waiting > 0) {
+    if (PendingLocked() > 0) {
       std::size_t budget = 0;
       if (options_.adaptive_batch) {
-        const std::size_t width = TargetWidth(waiting);
-        metrics_.last_width = width;
-        budget = width > scheduler_.occupied()
-                     ? width - scheduler_.occupied()
+        budget = options_.round_width > scheduler_.occupied()
+                     ? options_.round_width - scheduler_.occupied()
                      : 0;
       } else if (scheduler_.occupied() == 0) {
         budget = options_.max_batch;
-        metrics_.last_width = budget;
       }
       if (budget > 0) AdmitLocked(budget, &admitted);
     }
@@ -174,17 +152,9 @@ void QueryService::PumpOnce() {
     if (scheduler_.IsRunning(slot)) round_slots_.push_back(slot);
   }
 
-  // 3. One coalesced round; its prune outcome feeds the width EMA.
-  HsRoundScheduler::RoundStats round;
-  scheduler_.Step(pool_.get(), &round);
+  // 3. One coalesced round.
+  scheduler_.Step(pool_.get());
   for (const std::size_t slot : round_slots_) ++inflight_[slot]->rounds;
-  const std::uint64_t leaf_work = round.pruned + round.scored;
-  if (leaf_work > 0) {
-    const double rate = static_cast<double>(round.pruned) /
-                        static_cast<double>(leaf_work);
-    ema_prune_ = options_.prune_ema_alpha * rate +
-                 (1.0 - options_.prune_ema_alpha) * ema_prune_;
-  }
 
   // 4. Resolve everything that finished or expired this round.
   for (std::size_t slot = 0; slot < inflight_.size(); ++slot) {
@@ -195,7 +165,6 @@ void QueryService::PumpOnce() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++metrics_.rounds;
-    metrics_.ema_prune_rate = ema_prune_;
   }
 }
 

@@ -17,14 +17,13 @@
 //     weighted dequeue: interactive work goes first, but after
 //     `interactive_weight` consecutive interactive admissions a waiting
 //     bulk query is admitted, so neither class starves.
-//   * Adaptive batch formation — instead of the fixed round expander
+//   * Continuous admission — instead of the fixed round expander
 //     (closed batches of max_batch run to completion, the pre-service
-//     QueryBatch shape), the service admits BETWEEN rounds into a round
-//     width sized from observed queue depth and the EMA of recent prune
-//     rates: cheap (well-pruning) rounds widen toward max_batch,
-//     expensive ones narrow toward min_batch. Continuous admission is
-//     what stops convoying — a cheap interactive query joins the very
-//     next round instead of waiting behind a bulk scan's whole batch.
+//     QueryBatch shape), the service admits BETWEEN rounds, topping the
+//     running queries up to a fixed round_width. Continuous admission
+//     is what stops convoying — a cheap interactive query joins the
+//     very next round instead of waiting behind a bulk scan's whole
+//     batch.
 //
 // Results are bit-identical to ParallelSearchEngine::QueryBatch (and
 // single-query HsKnn, which drives the same HsFrontier) whenever no
@@ -104,18 +103,19 @@ struct ServiceOptions {
   /// Bound of the admission (waiting) queue across both classes; Submit
   /// beyond it returns kResourceExhausted.
   std::size_t max_queue = 256;
-  /// Round width bounds. max_batch is also the fixed mode's batch size.
+  /// Batch size of the closed-batch mode (adaptive_batch = false).
   std::size_t max_batch = 64;
-  std::size_t min_batch = 4;
-  /// true: continuous admission with the adaptive width (the service's
-  /// raison d'etre). false: the fixed round expander baseline — closed
-  /// FIFO batches of max_batch run to completion, the convoying-prone
-  /// shape QueryBatch has always had.
+  /// Queries running at once in continuous mode: between rounds the
+  /// service admits up to round_width minus the queries still running.
+  std::size_t round_width = 4;
+  /// true: continuous admission at round_width (the service's raison
+  /// d'etre). false: the fixed round expander baseline — closed FIFO
+  /// batches of max_batch run to completion, the convoying-prone shape
+  /// QueryBatch has always had. The width does not adapt in either
+  /// mode.
   bool adaptive_batch = true;
   /// Consecutive interactive admissions allowed while bulk work waits.
   std::size_t interactive_weight = 4;
-  /// EMA smoothing of the per-round prune rate (0 < alpha <= 1).
-  double prune_ema_alpha = 0.3;
   /// Worker threads for the round expansion phase (0 or 1 = serial).
   unsigned threads = 0;
 };
@@ -127,10 +127,6 @@ struct ServiceMetrics {
   std::uint64_t completed = 0;  // resolved, including expired
   std::uint64_t expired = 0;    // resolved as kDeadlineExceeded
   std::uint64_t rounds = 0;     // scheduler rounds run
-  /// Width the last admission round targeted (adaptive mode).
-  std::size_t last_width = 0;
-  /// Current EMA of the per-round leaf prune rate in [0, 1].
-  double ema_prune_rate = 1.0;
 };
 
 class QueryService {
@@ -195,8 +191,6 @@ class QueryService {
   void PumpOnce();
   /// Admits up to `budget` queries by weighted priority (mutex_ held).
   void AdmitLocked(std::size_t budget, std::vector<Pending>* admitted);
-  /// Adaptive round width from queue depth and the prune-rate EMA.
-  std::size_t TargetWidth(std::size_t waiting) const;
   void Resolve(std::size_t slot);
   std::size_t PendingLocked() const {
     return queues_[0].size() + queues_[1].size();
@@ -219,7 +213,6 @@ class QueryService {
   std::vector<std::unique_ptr<InFlight>> inflight_;  // by scheduler slot
   std::vector<std::size_t> round_slots_;  // slots active in this round
   std::size_t interactive_credit_ = 0;
-  double ema_prune_ = 1.0;
   std::uint64_t finish_seq_ = 0;
 };
 

@@ -47,11 +47,10 @@ enum class Phase : unsigned {
   /// Quantized-sweep query preparation (lattice encode + slack fold,
   /// once per (query, block) pair).
   kSweepPrep,
-  /// Cascade stage 1: the prefix-dimension integer kernel pass and its
-  /// survivor compaction.
+  /// No scope enters it: perfbench/ names it; delete it with that reference.
   kSweepPrefix,
-  /// Full-dimension integer work: the whole-block SQ8 kernel pass (no
-  /// prefix stage) or the per-survivor full-d rechecks (cascade).
+  /// Full-dimension integer work: the whole-block SQ8 kernel pass and
+  /// its survivor compaction.
   kSweepFull,
   /// Exact re-rank of bound survivors, including emit handling (the
   /// exact sweep of an unquantized block lands here entirely).

@@ -53,7 +53,6 @@ void AppendQueryStats(std::ostringstream* out, const QueryStats& stats) {
        << " block_kernel_invocations=" << stats.block_kernel_invocations
        << " quantized_pruned=" << stats.quantized_pruned
        << " base_pruned=" << stats.base_pruned
-       << " prefix_pruned=" << stats.prefix_pruned
        << " sq8_pruned=" << stats.sq8_pruned
        << " reranked=" << stats.reranked
        << " leaf_bytes_scanned=" << stats.leaf_bytes_scanned
@@ -204,7 +203,6 @@ std::string RenderActualStats() {
   // skip conditions — however plausible — shows up as a diff here.
   EngineOptions approx = options;
   approx.quantized_leaf_blocks = true;
-  approx.cascade_prefix_stage = true;
   approx.approx.enabled = true;
   approx.approx.epsilon = 0.25;
   ParallelSearchEngine approx_engine(
@@ -212,7 +210,7 @@ std::string RenderActualStats() {
   EXPECT_TRUE(approx_engine.Build(data).ok());
   const std::vector<KnnResult> truth = ComputeGroundTruth(data, queries, k);
   std::vector<KnnResult> approx_results;
-  out << "[approx eps=0.25 quantized cascade]\n";
+  out << "[approx eps=0.25 quantized]\n";
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     QueryStats stats;
     approx_results.push_back(approx_engine.Query(queries[qi], k, &stats));
@@ -245,8 +243,7 @@ std::string RenderActualStats() {
         << " exact_distances=" << stats.exact_distances
         << " quantized_pruned=" << stats.quantized_pruned
         << " base_pruned=" << stats.base_pruned
-        << " prefix_pruned=" << stats.prefix_pruned
-        << " sq8_pruned=" << stats.sq8_pruned
+         << " sq8_pruned=" << stats.sq8_pruned
         << " reranked=" << stats.reranked
         << " leaf_bytes_scanned=" << stats.leaf_bytes_scanned
         << " block_kernel_invocations=" << stats.block_kernel_invocations

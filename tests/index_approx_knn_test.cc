@@ -57,7 +57,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.metric = Metric(config.metric);
   options.coalesced_batch = config.coalesced;
   options.quantized_leaf_blocks = true;
-  options.cascade_prefix_stage = true;
   options.approx.enabled = config.approx;
   options.approx.epsilon = config.epsilon;
   options.approx.relax_bounds = config.relax_bounds;
@@ -284,7 +283,7 @@ TEST_F(ApproxKnnTest, DeterministicAcrossThreadCounts) {
 }
 
 // Both executors drive one shared HS frontier, so with the approximate
-// tier on (SQ8 + cascade sweeps, relaxed cuts, pop-time node skips) the
+// tier on (SQ8 sweeps, relaxed cuts, pop-time node skips) the
 // coalesced batch must replay each query's single-query search exactly:
 // the same answer, the same frontier traffic and sweep split, and pages
 // conserved (pages read + pages ridden along == single-query pages).
@@ -319,7 +318,6 @@ TEST_F(ApproxKnnTest, CoalescedMatchesPerQueryWithApproxTier) {
         EXPECT_EQ(bs.approx_pruned_exactly, qs.approx_pruned_exactly);
         EXPECT_EQ(bs.quantized_pruned, qs.quantized_pruned);
         EXPECT_EQ(bs.base_pruned, qs.base_pruned);
-        EXPECT_EQ(bs.prefix_pruned, qs.prefix_pruned);
         EXPECT_EQ(bs.sq8_pruned, qs.sq8_pruned);
         EXPECT_EQ(bs.reranked, qs.reranked);
         EXPECT_EQ(bs.total_pages + bs.directory_pages + bs.coalesced_reads,

@@ -7,16 +7,23 @@
 // pruning on the bound is invisible in results, distances, pop
 // sequences, and page counts. These properties pin both, across
 // adversarial data placements (huge offsets, tiny ranges, data exactly
-// on the lattice), all three metrics, every query path (k-NN, ball,
-// range, partial match, coalesced batch), and mutation epochs.
+// on the lattice, anisotropic spreads), all three metrics, every query
+// path (k-NN, ball, range, partial match, coalesced batch, threaded),
+// and mutation epochs. The block warm-up and the phase profiler ride
+// the same harness.
 
 #include "src/geometry/sq8.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +35,7 @@
 #include "src/index/rstar_tree.h"
 #include "src/index/xtree.h"
 #include "src/parallel/engine.h"
+#include "src/util/phase_timer.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
@@ -76,6 +84,24 @@ PointSet Transform(const PointSet& in, double spread, double offset) {
     const PointView p = in[i];
     for (std::size_t d = 0; d < in.dim(); ++d) {
       row[d] = static_cast<Scalar>(static_cast<double>(p[d]) * spread + offset);
+    }
+    out.Add(PointView{row.data(), row.size()});
+  }
+  return out;
+}
+
+/// Anisotropic data — dimension j's spread decays geometrically — so the
+/// per-dimension code ranges differ widely within one block lattice.
+PointSet MakeAnisotropic(std::size_t n, std::size_t dim, unsigned seed) {
+  const PointSet base = GenerateUniform(n, dim, seed);
+  PointSet out(dim);
+  std::vector<Scalar> row(dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    const PointView p = base[i];
+    double spread = 1.0;
+    for (std::size_t d = 0; d < dim; ++d) {
+      row[d] = static_cast<Scalar>(static_cast<double>(p[d]) * spread);
+      spread *= 0.8;
     }
     out.Add(PointView{row.data(), row.size()});
   }
@@ -275,6 +301,64 @@ TEST_P(QuantizedBlockPropertyTest, QuantizedTreeMatchesOracles) {
   }
 }
 
+// Anisotropic data (per-dimension spreads from 1 down to 0.8^(d-1)
+// inside one block lattice): a quantized tree answers k-NN and ball
+// queries bit-identically to an exact tree for every metric, and a
+// standalone ball sweep over one big quantized block emits every
+// candidate within the radius with its exact key.
+TEST_P(QuantizedBlockPropertyTest, AnisotropicSweepsMatchExact) {
+  const std::size_t dim = GetParam();
+  const PointSet data = MakeAnisotropic(700, dim, 4401 + dim);
+  const PointSet queries = GenerateUniformQueries(5, dim, 4403 + dim);
+
+  for (const MetricKind kind : kAllKinds) {
+    SCOPED_TRACE("metric " + std::to_string(static_cast<int>(kind)));
+    const Metric metric(kind);
+    SimulatedDisk exact_disk(0), sq8_disk(0);
+    XTree exact_tree(dim, &exact_disk);
+    XTree sq8_tree(dim, &sq8_disk);
+    sq8_tree.set_quantized_leaf_blocks(true);
+    ASSERT_TRUE(exact_tree.BulkLoad(data).ok());
+    ASSERT_TRUE(sq8_tree.BulkLoad(data).ok());
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE("query " + std::to_string(qi));
+      ExpectBitIdentical(HsKnn(sq8_tree, queries[qi], 8, metric),
+                         HsKnn(exact_tree, queries[qi], 8, metric));
+      ExpectBitIdentical(BallQuery(sq8_tree, queries[qi], 0.4, metric),
+                         BallQuery(exact_tree, queries[qi], 0.4, metric));
+    }
+  }
+
+  const Metric metric(MetricKind::kL2);
+  LeafBlock block;
+  block.dim = dim;
+  block.count = data.size();
+  block.coords.assign(data.data(), data.data() + data.size() * dim);
+  block.ids.resize(data.size());
+  std::iota(block.ids.begin(), block.ids.end(), PointId{0});
+  block.has_sq8 = true;
+  block.sq8.BuildFrom(data.data(), data.size(), dim);
+  const double radius = metric.ToComparable(0.35);
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    std::vector<std::pair<std::size_t, double>> got;
+    (void)SweepLeafDistances(
+        block, queries[qi], metric, [&] { return radius; },
+        [&](std::size_t i, double key) { got.emplace_back(i, key); });
+    // The sweep may emit survivors above the radius (the caller's
+    // threshold test drops them); it must emit every candidate at or
+    // under it with the exact key.
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const double key = metric.Comparable(queries[qi], data[i]);
+      if (key > radius) continue;
+      const auto it =
+          std::find_if(got.begin(), got.end(),
+                       [i](const auto& e) { return e.first == i; });
+      ASSERT_NE(it, got.end()) << "candidate " << i << " missing";
+      EXPECT_EQ(it->second, key);
+    }
+  }
+}
+
 // Counter conservation between an exact and a quantized engine over the
 // same workload: identical results and page counts; pruned + reranked
 // on the quantized side recovers the exact side's distance count; the
@@ -384,6 +468,204 @@ TEST(QuantizedEngineTest, CoalescedBatchMatchesPerQueryOnQuantizedEngine) {
     EXPECT_EQ(bs.leaf_bytes_scanned, qs.leaf_bytes_scanned);
     EXPECT_EQ(bs.total_pages + bs.directory_pages + bs.coalesced_reads,
               qs.total_pages + qs.directory_pages);
+  }
+}
+
+// Engine-level identity at d = 16 on anisotropic data: the quantized
+// engine walks the exact engine's traversal (pages per disk, frontier
+// pops, cutoff skips) and its prune split conserves (base_pruned +
+// sq8_pruned == quantized_pruned).
+TEST(QuantizedEngineTest, StageCountersConserveAndPagesMatch) {
+  const std::size_t dim = 16, disks = 8, k = 10;
+  const PointSet data = MakeAnisotropic(3000, dim, 4501);
+  const PointSet queries = GenerateUniformQueries(8, dim, 4503);
+
+  EngineOptions options;
+  options.architecture = Architecture::kSharedTree;
+  options.bulk_load = true;
+  ParallelSearchEngine exact(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  ASSERT_TRUE(exact.Build(data).ok());
+  options.quantized_leaf_blocks = true;
+  ParallelSearchEngine quant(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  ASSERT_TRUE(quant.Build(data).ok());
+
+  std::uint64_t total_sq8 = 0;
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    SCOPED_TRACE("query " + std::to_string(qi));
+    QueryStats es, qs;
+    ExpectBitIdentical(quant.Query(queries[qi], k, &qs),
+                       exact.Query(queries[qi], k, &es));
+    EXPECT_EQ(qs.total_pages, es.total_pages);
+    EXPECT_EQ(qs.directory_pages, es.directory_pages);
+    EXPECT_EQ(qs.pages_per_disk, es.pages_per_disk);
+    EXPECT_EQ(qs.base_pruned + qs.sq8_pruned, qs.quantized_pruned);
+    EXPECT_GT(qs.frontier_pushes, 0u);
+    EXPECT_GE(qs.frontier_pushes, qs.frontier_pops);
+    EXPECT_EQ(qs.frontier_pops, es.frontier_pops);
+    EXPECT_EQ(qs.cutoff_skipped_nodes, es.cutoff_skipped_nodes);
+    total_sq8 += qs.sq8_pruned;
+  }
+  // The workload must actually exercise the kernel stage.
+  EXPECT_GT(total_sq8, 0u);
+}
+
+// A threaded coalesced batch at d = 16 returns bit-identical results and
+// identical per-query stage splits to single-query execution (this test
+// doubles as the TSAN lane's concurrency probe for the quantized sweep).
+TEST(QuantizedEngineTest, ThreadedCoalescedBatchMatchesPerQuery) {
+  const std::size_t dim = 16, disks = 8, k = 10;
+  const PointSet data = MakeAnisotropic(3000, dim, 4601);
+  const PointSet queries = GenerateUniformQueries(24, dim, 4603);
+
+  EngineOptions options;
+  options.architecture = Architecture::kSharedTree;
+  options.bulk_load = true;
+  options.quantized_leaf_blocks = true;
+  ParallelSearchEngine single(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  ASSERT_TRUE(single.Build(data).ok());
+  options.coalesced_batch = true;
+  options.parallel_workers = 4;
+  ParallelSearchEngine batched(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  ASSERT_TRUE(batched.Build(data).ok());
+
+  std::vector<QueryStats> batch_stats;
+  const std::vector<KnnResult> batch =
+      batched.QueryBatch(queries, k, &batch_stats, /*threads=*/4);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    SCOPED_TRACE("query " + std::to_string(qi));
+    QueryStats qs;
+    ExpectBitIdentical(batch[qi], single.Query(queries[qi], k, &qs));
+    const QueryStats& bs = batch_stats[qi];
+    EXPECT_EQ(bs.quantized_pruned, qs.quantized_pruned);
+    EXPECT_EQ(bs.base_pruned, qs.base_pruned);
+    EXPECT_EQ(bs.sq8_pruned, qs.sq8_pruned);
+    EXPECT_EQ(bs.reranked, qs.reranked);
+    EXPECT_EQ(bs.frontier_pops, qs.frontier_pops);
+    EXPECT_EQ(bs.cutoff_skipped_nodes, qs.cutoff_skipped_nodes);
+    EXPECT_EQ(bs.total_pages + bs.directory_pages + bs.coalesced_reads,
+              qs.total_pages + qs.directory_pages);
+  }
+}
+
+// WarmLeafBlocks builds every block and its mirror without charging a
+// single page or distance computation, serial and pooled alike, and
+// changes no answer.
+TEST(QuantizedEngineTest, WarmLeafBlocksChargesNothing) {
+  const std::size_t dim = 16, disks = 4, k = 5;
+  const PointSet data = MakeAnisotropic(1500, dim, 4701);
+  const PointSet queries = GenerateUniformQueries(4, dim, 4703);
+
+  EngineOptions options;
+  options.architecture = Architecture::kSharedTree;
+  options.bulk_load = true;
+  options.quantized_leaf_blocks = true;
+  ParallelSearchEngine engine(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  ASSERT_TRUE(engine.Build(data).ok());
+
+  const auto snapshot = [&] {
+    DiskStats total = engine.disks().TotalStats();
+    return std::make_tuple(total.TotalPagesRead(), total.distance_computations,
+                           total.quantized_pruned);
+  };
+  const auto before = snapshot();
+  engine.WarmLeafBlocks(/*threads=*/4);
+  engine.WarmLeafBlocks();  // idempotent
+  EXPECT_EQ(snapshot(), before);
+
+  // The tree-level API really materialized the mirrors (PeekNode and
+  // LeafBlockOf charge nothing).
+  const TreeBase& tree = engine.tree();
+  std::vector<NodeId> stack{tree.root_id()};
+  std::size_t leaves = 0;
+  while (!stack.empty()) {
+    const Node& node = tree.PeekNode(stack.back());
+    stack.pop_back();
+    if (!node.IsLeaf()) {
+      for (const NodeEntry& e : node.entries) stack.push_back(e.child);
+      continue;
+    }
+    ++leaves;
+    const LeafBlock& block = tree.LeafBlockOf(node);
+    EXPECT_TRUE(block.has_sq8);
+    EXPECT_EQ(block.sq8.count, block.count);
+  }
+  EXPECT_GT(leaves, 0u);
+  EXPECT_EQ(snapshot(), before) << "LeafBlockOf after warm must be cached";
+
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    ExpectBitIdentical(engine.Query(queries[qi], k),
+                       BruteForceKnn(data, queries[qi], k, options.metric));
+  }
+}
+
+// Phase-attributed profiling: off by default (all-zero breakdown, no
+// accounting drift), populated when enabled, and summed across the
+// batch paths.
+TEST(QuantizedEngineTest, PhaseProfilerAttributesQueryTime) {
+  const std::size_t dim = 16, disks = 4, k = 10;
+  const PointSet data = MakeAnisotropic(2500, dim, 4801);
+  const PointSet queries = GenerateUniformQueries(6, dim, 4803);
+
+  EngineOptions options;
+  options.architecture = Architecture::kSharedTree;
+  options.bulk_load = true;
+  options.quantized_leaf_blocks = true;
+  ParallelSearchEngine plain(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  ASSERT_TRUE(plain.Build(data).ok());
+  options.profile_phases = true;
+  ParallelSearchEngine profiled(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  ASSERT_TRUE(profiled.Build(data).ok());
+
+  QueryStats off_stats, on_stats;
+  const KnnResult want = plain.Query(queries[0], k, &off_stats);
+  ExpectBitIdentical(profiled.Query(queries[0], k, &on_stats), want);
+  EXPECT_EQ(off_stats.phases.total_ms(), 0.0);
+  EXPECT_GT(on_stats.phases.total_ms(), 0.0);
+  // A quantized k-NN query must spend time descending, popping the
+  // frontier, and sweeping leaves.
+  EXPECT_GT(on_stats.phases.of(Phase::kDescent) +
+                on_stats.phases.of(Phase::kFrontier),
+            0.0);
+  EXPECT_GT(on_stats.phases.of(Phase::kSweepPrep) +
+                on_stats.phases.of(Phase::kSweepFull) +
+                on_stats.phases.of(Phase::kSweepRerank),
+            0.0);
+  // Simulated accounting is independent of the profiler.
+  EXPECT_EQ(on_stats.total_pages, off_stats.total_pages);
+  EXPECT_EQ(on_stats.quantized_pruned, off_stats.quantized_pruned);
+
+  // Per-query batch path: the batch breakdown is the per-query sum.
+  PhaseBreakdown batch_phases;
+  std::vector<QueryStats> stats;
+  (void)profiled.QueryBatch(queries, k, &stats, /*threads=*/1,
+                            /*effective_threads=*/nullptr, &batch_phases);
+  EXPECT_GT(batch_phases.total_ms(), 0.0);
+  double per_query_sum = 0.0;
+  for (const QueryStats& s : stats) per_query_sum += s.phases.total_ms();
+  EXPECT_DOUBLE_EQ(batch_phases.total_ms(), per_query_sum);
+
+  // Coalesced threaded path: batch-level breakdown only, still nonzero,
+  // results still bit-identical.
+  EngineOptions co = options;
+  co.coalesced_batch = true;
+  co.parallel_workers = 4;
+  ParallelSearchEngine co_engine(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), co);
+  ASSERT_TRUE(co_engine.Build(data).ok());
+  PhaseBreakdown co_phases;
+  const std::vector<KnnResult> batch = co_engine.QueryBatch(
+      queries, k, nullptr, /*threads=*/4, nullptr, &co_phases);
+  EXPECT_GT(co_phases.total_ms(), 0.0);
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    ExpectBitIdentical(batch[qi], plain.Query(queries[qi], k));
   }
 }
 

@@ -79,15 +79,14 @@ TEST_F(DegradedQueryTest, AnySingleDiskFailureKeepsKnnAnswersIdentical) {
   }
 }
 
-// The quantized cascade path under failover — a latent gap until this
-// test: every degraded-read case above ran the exact float sweep, so a
-// fault-routing bug in the SQ8 mirror path (whose leaf blocks are
-// derived per disk and must follow the replica reroute) would have gone
-// unnoticed. Answers under any single-disk failure must match the
+// The quantized path under failover. Every degraded-read case above
+// runs the exact float sweep, so without this test a fault-routing bug
+// in the SQ8 mirror path (whose leaf blocks are derived per disk and
+// must follow the replica reroute) would go unnoticed. Answers under any single-disk failure must match the
 // healthy EXACT engine bit for bit: quantization is error-bounded with
 // exact re-rank, so not even the quantized path is allowed to change a
 // result, degraded or not.
-TEST_F(DegradedQueryTest, QuantizedCascadeFailoverMatchesHealthyExact) {
+TEST_F(DegradedQueryTest, QuantizedFailoverMatchesHealthyExact) {
   const auto exact = MakeEngine(true, Architecture::kSharedTree, data_);
   const std::vector<KnnResult> healthy = exact->QueryBatch(queries_, kK);
 
@@ -96,7 +95,6 @@ TEST_F(DegradedQueryTest, QuantizedCascadeFailoverMatchesHealthyExact) {
   options.bulk_load = true;
   options.enable_replicas = true;
   options.quantized_leaf_blocks = true;
-  options.cascade_prefix_stage = true;
   ParallelSearchEngine quant(
       kDim, std::make_unique<NearOptimalDeclusterer>(kDim, kDisks), options);
   ASSERT_TRUE(quant.Build(data_).ok());
@@ -126,7 +124,7 @@ TEST_F(DegradedQueryTest, QuantizedCascadeFailoverMatchesHealthyExact) {
   EXPECT_GT(replica_pages, 0u)
       << "no degraded query ever read a replica: failover path untested";
   EXPECT_GT(quantized_pruned, 0u)
-      << "no quantized prune ever fired: cascade path untested";
+      << "no quantized prune ever fired: quantized path untested";
 }
 
 TEST_F(DegradedQueryTest, SingleFailureTouchesReplicasForSomeQuery) {

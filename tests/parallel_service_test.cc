@@ -24,11 +24,13 @@ namespace {
 constexpr std::size_t kK = 10;
 
 std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
-                                                 std::uint32_t disks = 8) {
+                                                 std::uint32_t disks = 8,
+                                                 bool quantized = false) {
   EngineOptions options;
   options.architecture = Architecture::kSharedTree;
   options.bulk_load = true;
   options.coalesced_batch = true;
+  options.quantized_leaf_blocks = quantized;
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), disks),
       options);
@@ -49,8 +51,7 @@ TEST(QueryServiceTest, BitIdenticalToQueryBatchWhenNoDeadline) {
   // into one closed schedule — per-query stats must match QueryBatch's
   // coalesced numbers exactly, not just the answers.
   ServiceOptions service_options;
-  service_options.min_batch = queries.size();
-  service_options.max_batch = queries.size();
+  service_options.round_width = queries.size();
   QueryService service(*engine, service_options);
   std::vector<std::future<ServedResult>> futures(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -82,8 +83,6 @@ TEST(QueryServiceTest, BitIdenticalToQueryBatchWhenNoDeadline) {
   EXPECT_EQ(metrics.rejected, 0u);
   EXPECT_EQ(metrics.expired, 0u);
   EXPECT_GT(metrics.rounds, 0u);
-  EXPECT_GE(metrics.ema_prune_rate, 0.0);
-  EXPECT_LE(metrics.ema_prune_rate, 1.0);
 }
 
 TEST(QueryServiceTest, AdaptiveAdmissionStillExactAnswers) {
@@ -93,12 +92,11 @@ TEST(QueryServiceTest, AdaptiveAdmissionStillExactAnswers) {
 
   const std::vector<KnnResult> batch = engine->QueryBatch(queries, kK);
 
-  // Narrow adaptive widths: queries join and leave rounds continuously,
-  // so round composition differs completely from the closed batch — the
-  // answers must not.
+  // A narrow continuous width: queries join and leave rounds
+  // continuously, so round composition differs completely from the
+  // closed batch — the answers must not.
   ServiceOptions service_options;
-  service_options.min_batch = 2;
-  service_options.max_batch = 7;
+  service_options.round_width = 3;
   QueryService service(*engine, service_options);
   std::vector<std::future<ServedResult>> futures(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -115,6 +113,40 @@ TEST(QueryServiceTest, AdaptiveAdmissionStillExactAnswers) {
       EXPECT_EQ(served.neighbors[i].distance, batch[q][i].distance);
     }
   }
+}
+
+TEST(QueryServiceTest, ContinuousWidthCapsOccupancyOnQuantizedEngine) {
+  // A quantized engine prunes most leaf candidates, the signal a
+  // prune-rate controller would widen rounds on. The continuous width is
+  // fixed: no round runs more than round_width queries, so the average
+  // occupancy (query-rounds over rounds) stays at or below it even when
+  // far more than max_batch queries wait from the start.
+  const PointSet data = GenerateUniform(5000, 8, 9021);
+  const PointSet queries = GenerateUniformQueries(80, 8, 9022);
+  const auto engine = MakeEngine(data, 8, /*quantized=*/true);
+
+  ServiceOptions service_options;
+  service_options.round_width = 4;
+  service_options.max_batch = 16;
+  QueryService service(*engine, service_options);
+  ASSERT_GT(queries.size(), service_options.max_batch);
+  std::vector<std::future<ServedResult>> futures(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(service.Submit(queries[i], {}, &futures[i]).ok());
+  }
+  EXPECT_EQ(service.Drain(), queries.size());
+  std::size_t query_rounds = 0;
+  for (auto& f : futures) {
+    const ServedResult served = f.get();
+    ASSERT_TRUE(served.status.ok());
+    EXPECT_GT(served.stats.quantized_pruned, 0u);
+    query_rounds += served.rounds;
+  }
+  const ServiceMetrics metrics = service.metrics();
+  ASSERT_GT(metrics.rounds, 0u);
+  EXPECT_LE(static_cast<double>(query_rounds) /
+                static_cast<double>(metrics.rounds),
+            static_cast<double>(service_options.round_width));
 }
 
 TEST(QueryServiceTest, BackpressureRejectsWhenQueueFull) {
@@ -290,8 +322,7 @@ TEST(QueryServiceTest, InteractiveQueriesFinishBeforeBulk) {
   // order IS completion order. Bulk submitted first, interactive second
   // — the weighted dequeue must still serve all interactive first.
   ServiceOptions service_options;
-  service_options.min_batch = 1;
-  service_options.max_batch = 1;
+  service_options.round_width = 1;
   service_options.interactive_weight = 100;  // no bulk preemption here
   QueryService service(*engine, service_options);
   std::vector<std::future<ServedResult>> bulk_futures(4);
@@ -325,8 +356,7 @@ TEST(QueryServiceTest, BulkNotStarvedUnderWeight) {
   // interactive_weight 1: the dequeue alternates I, B, I, B — a bulk
   // query finishes before the last interactive one.
   ServiceOptions service_options;
-  service_options.min_batch = 1;
-  service_options.max_batch = 1;
+  service_options.round_width = 1;
   service_options.interactive_weight = 1;
   QueryService service(*engine, service_options);
   std::vector<std::future<ServedResult>> bulk_futures(4);
@@ -359,8 +389,7 @@ TEST(QueryServiceTest, DeterministicAcrossWorkerThreads) {
 
   auto run = [&](unsigned threads) {
     ServiceOptions service_options;
-    service_options.min_batch = 3;
-    service_options.max_batch = 9;
+    service_options.round_width = 5;
     service_options.threads = threads;
     QueryService service(*engine, service_options);
     std::vector<std::future<ServedResult>> futures(queries.size());

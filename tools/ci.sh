@@ -55,9 +55,9 @@ echo "== [3/5] TSAN build + concurrency tests =="
 # golden_stats_test pins the buffered deterministic-replay accounting;
 # index_quantized_block_test exercises the SQ8 sweep path (whose
 # per-thread scratch and cached kernel dispatch must stay race-free)
-# alongside the concurrent engines; and index_cascade_test adds the
-# prefix-stage cascade, WarmLeafBlocks prebuild, and the phase-profiled
-# coalesced batch (thread-local capture install/remove under a pool);
+# alongside the concurrent engines, a threaded coalesced batch at d=16,
+# the pooled WarmLeafBlocks prebuild, and the phase-profiled coalesced
+# batch (thread-local capture install/remove under a pool);
 # index_approx_knn_test runs the approximate tier's relaxed skips and
 # their per-query counters on a multi-worker coalesced batch;
 # parallel_service_test runs the query service's dispatcher thread
@@ -78,7 +78,7 @@ TSAN_TESTS=(util_thread_pool_test util_parallel_sort_test
             parallel_concurrency_test parallel_threads_test
             parallel_batch_coalesced_test
             parallel_degraded_query_test golden_stats_test
-            index_quantized_block_test index_cascade_test
+            index_quantized_block_test
             index_approx_knn_test parallel_service_test
             index_bulk_load_parallel_test parallel_join_test
             index_leaf_block_test)
@@ -96,7 +96,7 @@ echo "== [4/5] microbench smoke lane =="
 # or page-conservation checks fail.
 MICROBENCHES=(microbench_query_parallel microbench_buffer_pool
               microbench_fault_injection microbench_batch_knn
-              microbench_quantized_knn microbench_cascade
+              microbench_quantized_knn
               microbench_recall microbench_service
               microbench_bulk_load microbench_join)
 cmake --build build-ci -j "$JOBS" --target "${MICROBENCHES[@]}"
