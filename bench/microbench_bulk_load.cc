@@ -23,6 +23,11 @@
 //               that BulkLoad now uses at any thread count. Permutation
 //               equality is asserted.
 //
+// Timing: every measurement runs once untimed, then `reps` timed runs
+// (bench::Measure); rows report the median (the headline, and what the
+// floor compares), the min and the IQR. A build's timed section is
+// BulkLoad alone: each tree is freed before the next build starts.
+//
 // Wall-clock thread speedups are hardware-dependent: the JSON records
 // hardware_threads, and the >= 3x acceptance floor at (d=16, hilbert)
 // is enforced only when the machine actually has >= 4 hardware threads
@@ -56,6 +61,8 @@ namespace parsim {
 namespace {
 
 using bench::EnvSize;
+using bench::Measure;
+using bench::Timing;
 
 struct BuiltTree {
   std::unique_ptr<SimulatedDisk> disk;
@@ -77,6 +84,23 @@ BuiltTree Build(const PointSet& data, BulkLoadOrder order, ThreadPool* pool) {
     std::exit(1);
   }
   return out;
+}
+
+// One untimed warm-up build, then `reps` timed ones (BulkLoad only; the
+// previous tree is freed outside the timed section). Returns the last
+// tree, for the identity checks.
+BuiltTree BuildTimed(const PointSet& data, BulkLoadOrder order,
+                     ThreadPool* pool, int reps, Timing* timing) {
+  (void)Build(data, order, pool);
+  std::vector<double> ms;
+  BuiltTree last;
+  for (int r = 0; r < reps; ++r) {
+    last = BuiltTree{};
+    last = Build(data, order, pool);
+    ms.push_back(last.wall_ms);
+  }
+  *timing = bench::Summarize(std::move(ms));
+  return last;
 }
 
 // Exact structural + accounting + query identity; prints and returns
@@ -146,8 +170,8 @@ bool TreesIdentical(const BuiltTree& a, const BuiltTree& b,
 struct ConfigRow {
   std::size_t dim = 0;
   const char* order = "";
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
+  Timing serial;
+  Timing parallel;
   double speedup = 0.0;
   bool identical = false;
 };
@@ -155,10 +179,20 @@ struct ConfigRow {
 struct WarmRow {
   std::size_t dim = 0;
   bool mirrors = false;
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
+  Timing serial;
+  Timing parallel;
   double speedup = 0.0;
 };
+
+double Speedup(const Timing& base, const Timing& fast) {
+  return fast.median_ms > 0.0 ? base.median_ms / fast.median_ms : 0.0;
+}
+
+// The JSON fields of one Timing: <name>_ms (median), _min_ms, _iqr_ms.
+void PrintTimingJson(FILE* json, const char* name, const Timing& t) {
+  std::fprintf(json, "\"%s_ms\": %.2f, \"%s_min_ms\": %.2f, \"%s_iqr_ms\": %.2f",
+               name, t.median_ms, name, t.min_ms, name, t.iqr_ms);
+}
 
 double PointsPerSec(std::size_t n, double ms) {
   return ms > 0.0 ? static_cast<double>(n) / (ms / 1000.0) : 0.0;
@@ -223,17 +257,21 @@ int Run(bool smoke) {
       static_cast<unsigned>(EnvSize("PARSIM_BENCH_THREADS", 8));
   const std::size_t num_queries = 8;
   const unsigned hardware = std::thread::hardware_concurrency();
+  const int reps = smoke ? 1 : 5;
 
-  std::printf("parallel bulk load: n=%zu threads=%u (hardware threads: %u)%s\n",
-              n, threads, hardware, smoke ? " [smoke]" : "");
+  std::printf(
+      "parallel bulk load: n=%zu threads=%u (hardware threads: %u), median "
+      "of %d after a warm-up%s\n",
+      n, threads, hardware, reps, smoke ? " [smoke]" : "");
   ThreadPool pool(threads);
   bool all_ok = true;
   double headline = 0.0;
 
   std::vector<ConfigRow> rows;
   std::vector<WarmRow> warm_rows;
-  std::printf("\n%4s %8s %14s %14s %10s %10s\n", "dim", "order", "serial pts/s",
-              "parallel pts/s", "speedup", "identical");
+  std::printf("\n%4s %8s %14s %10s %14s %10s %10s %10s\n", "dim", "order",
+              "serial pts/s", "iqr ms", "parallel pts/s", "iqr ms",
+              "speedup", "identical");
   for (const std::size_t dim : {std::size_t{8}, std::size_t{16}}) {
     const PointSet data = GenerateUniform(n, dim, 7700 + dim);
     const PointSet queries = GenerateUniformQueries(num_queries, dim, 7900);
@@ -241,49 +279,45 @@ int Run(bool smoke) {
          {BulkLoadOrder::kHilbert, BulkLoadOrder::kStr}) {
       const char* order_name =
           order == BulkLoadOrder::kHilbert ? "hilbert" : "str";
-      BuiltTree serial = Build(data, order, nullptr);
-      BuiltTree parallel = Build(data, order, &pool);
       ConfigRow row;
       row.dim = dim;
       row.order = order_name;
-      row.serial_ms = serial.wall_ms;
-      row.parallel_ms = parallel.wall_ms;
-      row.speedup =
-          parallel.wall_ms > 0.0 ? serial.wall_ms / parallel.wall_ms : 0.0;
+      BuiltTree serial = BuildTimed(data, order, nullptr, reps, &row.serial);
+      BuiltTree parallel = BuildTimed(data, order, &pool, reps, &row.parallel);
+      row.speedup = Speedup(row.serial, row.parallel);
       row.identical = TreesIdentical(serial, parallel, queries);
       all_ok = all_ok && row.identical;
       if (dim == 16 && order == BulkLoadOrder::kHilbert) {
         headline = row.speedup;
       }
-      std::printf("%4zu %8s %14.0f %14.0f %9.2fx %10s\n", dim, order_name,
-                  PointsPerSec(n, row.serial_ms),
-                  PointsPerSec(n, row.parallel_ms), row.speedup,
+      std::printf("%4zu %8s %14.0f %10.2f %14.0f %10.2f %9.2fx %10s\n", dim,
+                  order_name, PointsPerSec(n, row.serial.median_ms),
+                  row.serial.iqr_ms, PointsPerSec(n, row.parallel.median_ms),
+                  row.parallel.iqr_ms, row.speedup,
                   row.identical ? "yes" : "NO");
       rows.push_back(row);
 
       // Post-build warm-up fan-out, on the parallel tree (Hilbert only;
       // the warm-up cost does not depend on the packing order). The
       // SQ8 mirror build is the expensive half, so time it with
-      // mirrors on and off. Toggling quantization invalidates the block
-      // cache, which is what makes re-warming measurable at all.
+      // mirrors on and off. Each run first toggles quantization, which
+      // resets every block slot (an O(nodes) flag sweep, negligible next
+      // to the builds) and makes re-warming measurable at all.
       if (order == BulkLoadOrder::kHilbert) {
+        RStarTree& tree = *parallel.tree;
         for (const bool mirrors : {true, false}) {
           WarmRow w;
           w.dim = dim;
           w.mirrors = mirrors;
-          parallel.tree->set_quantized_leaf_blocks(mirrors);  // invalidates
-          {
-            Stopwatch watch;
-            parallel.tree->WarmLeafBlocks(nullptr);
-            w.serial_ms = watch.ElapsedMillis();
-          }
-          parallel.tree->set_quantized_leaf_blocks(mirrors);  // invalidate again
-          {
-            Stopwatch watch;
-            parallel.tree->WarmLeafBlocks(&pool);
-            w.parallel_ms = watch.ElapsedMillis();
-          }
-          w.speedup = w.parallel_ms > 0.0 ? w.serial_ms / w.parallel_ms : 0.0;
+          w.serial = Measure(reps, [&] {
+            tree.set_quantized_leaf_blocks(mirrors);
+            tree.WarmLeafBlocks(nullptr);
+          });
+          w.parallel = Measure(reps, [&] {
+            tree.set_quantized_leaf_blocks(mirrors);
+            tree.WarmLeafBlocks(&pool);
+          });
+          w.speedup = Speedup(w.serial, w.parallel);
           warm_rows.push_back(w);
         }
       }
@@ -291,12 +325,12 @@ int Run(bool smoke) {
   }
 
   std::printf("\nwarm-up (WarmLeafBlocks, serial vs %u threads):\n", threads);
-  std::printf("%4s %8s %12s %12s %10s\n", "dim", "mirrors", "serial ms",
-              "parallel ms", "speedup");
+  std::printf("%4s %8s %12s %10s %12s %10s %10s\n", "dim", "mirrors",
+              "serial ms", "iqr ms", "parallel ms", "iqr ms", "speedup");
   for (const WarmRow& w : warm_rows) {
-    std::printf("%4zu %8s %12.2f %12.2f %9.2fx\n", w.dim,
-                w.mirrors ? "sq8+pre" : "off", w.serial_ms, w.parallel_ms,
-                w.speedup);
+    std::printf("%4zu %8s %12.2f %10.2f %12.2f %10.2f %9.2fx\n", w.dim,
+                w.mirrors ? "sq8" : "off", w.serial.median_ms, w.serial.iqr_ms,
+                w.parallel.median_ms, w.parallel.iqr_ms, w.speedup);
   }
 
   // Serial-path key+sort improvement: hardware-independent (same thread
@@ -304,26 +338,19 @@ int Run(bool smoke) {
   const std::size_t ks_dim = 16;
   const PointSet ks_data = GenerateUniform(n, ks_dim, 8100);
   const HilbertCurve curve(ks_dim, 8);
-  double legacy_ms = 0.0, pair_ms = 0.0;
   std::vector<std::size_t> legacy_order, pair_order;
-  {
-    Stopwatch watch;
-    legacy_order = LegacyKeySort(ks_data, curve);
-    legacy_ms = watch.ElapsedMillis();
-  }
-  {
-    Stopwatch watch;
-    pair_order = PairKeySort(ks_data, curve);
-    pair_ms = watch.ElapsedMillis();
-  }
+  const Timing legacy = Measure(
+      reps, [&] { legacy_order = LegacyKeySort(ks_data, curve); });
+  const Timing pair =
+      Measure(reps, [&] { pair_order = PairKeySort(ks_data, curve); });
   const bool ks_identical = legacy_order == pair_order;
   all_ok = all_ok && ks_identical;
-  const double ks_speedup = pair_ms > 0.0 ? legacy_ms / pair_ms : 0.0;
+  const double ks_speedup = Speedup(legacy, pair);
   std::printf(
-      "\nserial key+sort (d=%zu, n=%zu): legacy %.2f ms, pair %.2f ms "
-      "(%.2fx), permutation %s\n",
-      ks_dim, n, legacy_ms, pair_ms, ks_speedup,
-      ks_identical ? "identical" : "DIFFERS");
+      "\nserial key+sort (d=%zu, n=%zu): legacy %.2f ms (iqr %.2f), pair "
+      "%.2f ms (iqr %.2f), %.2fx, permutation %s\n",
+      ks_dim, n, legacy.median_ms, legacy.iqr_ms, pair.median_ms,
+      pair.iqr_ms, ks_speedup, ks_identical ? "identical" : "DIFFERS");
 
   // The wall-clock floor needs real cores; identity has already been
   // enforced unconditionally above.
@@ -351,37 +378,44 @@ int Run(bool smoke) {
   std::fprintf(json,
                "  \"workload\": {\"n\": %zu, \"dims\": [8, 16], \"orders\": "
                "[\"hilbert\", \"str\"], \"threads\": %u, \"queries\": %zu, "
-               "\"smoke\": %s},\n",
-               n, threads, num_queries, smoke ? "true" : "false");
+               "\"reps\": %d, \"smoke\": %s},\n",
+               n, threads, num_queries, reps, smoke ? "true" : "false");
   std::fprintf(json, "  \"hardware_threads\": %u,\n", hardware);
   std::fprintf(json, "  \"configs\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ConfigRow& r = rows[i];
+    std::fprintf(json, "    {\"dim\": %zu, \"order\": \"%s\", ", r.dim,
+                 r.order);
+    PrintTimingJson(json, "serial", r.serial);
+    std::fprintf(json, ", ");
+    PrintTimingJson(json, "parallel", r.parallel);
     std::fprintf(json,
-                 "    {\"dim\": %zu, \"order\": \"%s\", \"serial_ms\": %.2f, "
-                 "\"parallel_ms\": %.2f, \"serial_points_per_sec\": %.0f, "
+                 ", \"serial_points_per_sec\": %.0f, "
                  "\"parallel_points_per_sec\": %.0f, \"speedup\": %.3f, "
                  "\"identical\": %s}%s\n",
-                 r.dim, r.order, r.serial_ms, r.parallel_ms,
-                 PointsPerSec(n, r.serial_ms), PointsPerSec(n, r.parallel_ms),
-                 r.speedup, r.identical ? "true" : "false",
+                 PointsPerSec(n, r.serial.median_ms),
+                 PointsPerSec(n, r.parallel.median_ms), r.speedup,
+                 r.identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n  \"warm_up\": [\n");
   for (std::size_t i = 0; i < warm_rows.size(); ++i) {
     const WarmRow& w = warm_rows[i];
-    std::fprintf(json,
-                 "    {\"dim\": %zu, \"mirrors\": %s, \"serial_ms\": %.2f, "
-                 "\"parallel_ms\": %.2f, \"speedup\": %.3f}%s\n",
-                 w.dim, w.mirrors ? "true" : "false", w.serial_ms,
-                 w.parallel_ms, w.speedup, i + 1 < warm_rows.size() ? "," : "");
+    std::fprintf(json, "    {\"dim\": %zu, \"mirrors\": %s, ", w.dim,
+                 w.mirrors ? "true" : "false");
+    PrintTimingJson(json, "serial", w.serial);
+    std::fprintf(json, ", ");
+    PrintTimingJson(json, "parallel", w.parallel);
+    std::fprintf(json, ", \"speedup\": %.3f}%s\n", w.speedup,
+                 i + 1 < warm_rows.size() ? "," : "");
   }
-  std::fprintf(json,
-               "  ],\n  \"serial_key_sort\": {\"dim\": %zu, \"legacy_ms\": "
-               "%.2f, \"pair_ms\": %.2f, \"speedup\": %.3f, \"identical\": "
-               "%s},\n",
-               ks_dim, legacy_ms, pair_ms, ks_speedup,
-               ks_identical ? "true" : "false");
+  std::fprintf(json, "  ],\n  \"serial_key_sort\": {\"dim\": %zu, ",
+               ks_dim);
+  PrintTimingJson(json, "legacy", legacy);
+  std::fprintf(json, ", ");
+  PrintTimingJson(json, "pair", pair);
+  std::fprintf(json, ", \"speedup\": %.3f, \"identical\": %s},\n",
+               ks_speedup, ks_identical ? "true" : "false");
   std::fprintf(json,
                "  \"headline\": {\"dim\": 16, \"order\": \"hilbert\", "
                "\"speedup\": %.3f, \"floor\": %.1f, \"floor_enforced\": %s, "

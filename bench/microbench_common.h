@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "src/geometry/point.h"
@@ -48,8 +49,20 @@ struct Timing {
   double iqr_ms = 0.0;
 };
 
+/// Median, min and IQR of timed samples (>= 1). Quantiles interpolate
+/// linearly between order statistics.
+inline Timing Summarize(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  const auto quantile = [&ms](double q) {
+    const double pos = q * static_cast<double>(ms.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, ms.size() - 1);
+    return ms[lo] + (pos - static_cast<double>(lo)) * (ms[hi] - ms[lo]);
+  };
+  return Timing{quantile(0.5), ms.front(), quantile(0.75) - quantile(0.25)};
+}
+
 /// One untimed warm-up call of `fn`, then `reps` (>= 1) timed calls.
-/// Quantiles interpolate linearly between order statistics.
 template <typename Fn>
 Timing Measure(int reps, const Fn& fn) {
   fn();
@@ -59,14 +72,7 @@ Timing Measure(int reps, const Fn& fn) {
     fn();
     ms.push_back(watch.ElapsedMillis());
   }
-  std::sort(ms.begin(), ms.end());
-  const auto quantile = [&ms](double q) {
-    const double pos = q * static_cast<double>(ms.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, ms.size() - 1);
-    return ms[lo] + (pos - static_cast<double>(lo)) * (ms[hi] - ms[lo]);
-  };
-  return Timing{quantile(0.5), ms.front(), quantile(0.75) - quantile(0.25)};
+  return Summarize(std::move(ms));
 }
 
 /// Hot-spot query workload: every query is a small Gaussian jitter

@@ -118,8 +118,34 @@ double Rect::Margin() const {
   return m;
 }
 
+double Rect::UnionVolume(const Rect& a, const Rect& b) {
+  PARSIM_DCHECK(a.dim() == b.dim());
+  if (a.lo_.empty()) return 0.0;
+  // Per dimension, the bounds Union's ExtendToInclude would store; an
+  // inverted dimension makes Volume() return 0 whatever the product.
+  double v = 1.0;
+  for (std::size_t i = 0; i < a.lo_.size(); ++i) {
+    const Scalar lo = std::min(a.lo_[i], b.lo_[i]);
+    const Scalar hi = std::max(a.hi_[i], b.hi_[i]);
+    if (lo > hi) return 0.0;
+    v *= static_cast<double>(hi) - static_cast<double>(lo);
+  }
+  return v;
+}
+
 double Rect::OverlapVolume(const Rect& other) const {
-  return Intersection(*this, other).Volume();
+  PARSIM_DCHECK(other.dim() == dim());
+  if (lo_.empty()) return 0.0;
+  // Per dimension, the bounds Intersection would store; a disjoint
+  // dimension is the empty intersection, whose Volume() is 0.
+  double v = 1.0;
+  for (std::size_t i = 0; i < lo_.size(); ++i) {
+    const Scalar lo = std::max(lo_[i], other.lo_[i]);
+    const Scalar hi = std::min(hi_[i], other.hi_[i]);
+    if (lo > hi) return 0.0;
+    v *= static_cast<double>(hi) - static_cast<double>(lo);
+  }
+  return v;
 }
 
 Point Rect::Center() const {

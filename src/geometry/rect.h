@@ -53,6 +53,10 @@ class Rect {
   /// The MBR of the union of two rectangles.
   static Rect Union(const Rect& a, const Rect& b);
 
+  /// Union(a, b).Volume() without building the union: the same doubles
+  /// multiplied in the same order, so the result is bit-identical.
+  static double UnionVolume(const Rect& a, const Rect& b);
+
   /// The intersection (possibly empty).
   static Rect Intersection(const Rect& a, const Rect& b);
 
@@ -63,7 +67,8 @@ class Rect {
   double Margin() const;
 
   /// Volume of the intersection with `other` (the R*-tree overlap
-  /// criterion); 0 when disjoint.
+  /// criterion); 0 when disjoint. Bit-identical to
+  /// Intersection(*this, other).Volume(), without building the Rect.
   double OverlapVolume(const Rect& other) const;
 
   /// Center point (midpoint per dimension).

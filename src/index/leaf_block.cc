@@ -38,14 +38,23 @@ void DirBlock::BuildFrom(const Node& node, std::size_t dim) {
   }
 }
 
-void LeafBlockCache::Invalidate(std::size_t num_nodes) {
-  ++epoch_;
-  if (slots_.size() < num_nodes) {
-    slots_.reserve(num_nodes);
-    while (slots_.size() < num_nodes) {
-      slots_.push_back(std::make_unique<Slot>());
-    }
+void LeafBlockCache::InvalidateAll(std::size_t num_nodes) {
+  for (NodeId id = 0; id < slots_.size(); ++id) MarkStale(id);
+  Grow(num_nodes);
+}
+
+void LeafBlockCache::InvalidateNodes(const std::vector<NodeId>& ids) {
+  for (const NodeId id : ids) {
+    if (id < slots_.size()) MarkStale(id);
   }
+}
+
+void LeafBlockCache::Grow(std::size_t num_nodes) {
+  // push_back's geometric growth keeps a write's share amortized O(1).
+  while (slots_.size() < num_nodes) {
+    slots_.push_back(std::make_unique<Slot>());
+  }
+  if (memo_.size() < num_nodes) memo_.resize(num_nodes, 0);
 }
 
 template <typename Build>
@@ -53,13 +62,11 @@ LeafBlockCache::Slot& LeafBlockCache::Materialize(const Node& node,
                                                   Build&& build) const {
   PARSIM_CHECK(node.id < slots_.size());
   Slot& slot = *slots_[node.id];
-  if (slot.built_epoch.load(std::memory_order_acquire) == epoch_) {
-    return slot;
-  }
+  if (slot.built.load(std::memory_order_acquire)) return slot;
   std::lock_guard<std::mutex> lock(slot.build_mutex);
-  if (slot.built_epoch.load(std::memory_order_relaxed) != epoch_) {
+  if (!slot.built.load(std::memory_order_relaxed)) {
     build(slot);
-    slot.built_epoch.store(epoch_, std::memory_order_release);
+    slot.built.store(true, std::memory_order_release);
   }
   return slot;
 }

@@ -16,12 +16,19 @@
 // (Metric::MinDistMany) scores every child of the node in one pass with
 // the rectangles, not the dimensions, in the vector lanes.
 //
-// Blocks are derived state: LeafBlockCache builds them lazily on first
-// access and invalidates them wholesale whenever the tree's structure
-// changes (insert, delete, bulk load, deserialize). The tree's
-// concurrency contract — queries never race with mutations — makes a
-// single epoch counter sufficient: mutations bump the epoch between
-// query waves, and concurrent readers synchronize on a per-slot atomic.
+// Blocks are derived state, built lazily on first access and kept per
+// node id in a LeafBlockCache slot; the cache also keeps one opaque memo
+// word per node id (the shared-tree engine caches a leaf's disk route
+// there). Each slot carries its own validity flag, and the flag and the
+// memo word are cleared together, so invalidation is as wide as the
+// change: a tree write marks stale exactly the nodes on the root-to-target
+// paths it walked (every node whose entries or entry rects it can have
+// changed), nodes it creates start stale because node ids are never
+// reused, and only a whole-tree rebuild (bulk load, deserialize, the
+// quantize toggle) resets every slot. The tree's concurrency contract —
+// queries never race with mutations — lets invalidation write the flags
+// plainly between query waves; concurrent readers synchronize on the
+// per-slot flag and build mutex.
 
 #ifndef PARSIM_SRC_INDEX_LEAF_BLOCK_H_
 #define PARSIM_SRC_INDEX_LEAF_BLOCK_H_
@@ -36,6 +43,7 @@
 #include "src/geometry/point.h"
 #include "src/geometry/sq8.h"
 #include "src/index/node.h"
+#include "src/util/check.h"
 
 namespace parsim {
 
@@ -51,8 +59,8 @@ struct LeafBlock {
 
   /// Opt-in SQ8 mirror of `coords` (src/geometry/sq8.h): per-block
   /// lattice plus uint8 codes, built together with the block when the
-  /// owning cache has quantization enabled, so mirror and floats are
-  /// always of the same structural epoch. Empty when has_sq8 is false.
+  /// owning cache has quantization enabled, so mirror and floats always
+  /// describe the same entries. Empty when has_sq8 is false.
   Sq8Mirror sq8;
   bool has_sq8 = false;
 
@@ -85,20 +93,29 @@ struct DirBlock {
   void BuildFrom(const Node& node, std::size_t dim);
 };
 
-/// Per-tree cache of leaf and interior-node blocks, safe for concurrent
-/// read-only queries.
+/// Per-tree cache of leaf and interior-node blocks, plus one memo word
+/// per node, safe for concurrent read-only queries.
 ///
 /// Thread-safety contract (the tree family's): any number of concurrent
 /// Get() calls may race with each other — the first one through a slot's
 /// build mutex materializes the block, the rest wait or take the fast
-/// atomic-epoch path — but Invalidate() must not race with Get(); it is
-/// called from the tree's mutating entry points, which are documented as
-/// exclusive with queries (like SetFaultPlan / Insert / Remove).
+/// atomic-flag path — but the Invalidate* and Grow calls must not race
+/// with Get(); they are called from the tree's mutating entry points,
+/// which are documented as exclusive with queries (like SetFaultPlan /
+/// Insert / Remove).
 class LeafBlockCache {
  public:
-  /// Marks every cached block stale and makes room for `num_nodes`
-  /// slots. Call after any structural change, from the mutation side.
-  void Invalidate(std::size_t num_nodes);
+  /// Marks every slot stale (block and memo word) and makes room for
+  /// `num_nodes` slots. For whole-tree rebuilds only; a write that
+  /// touches a few paths calls InvalidateNodes instead.
+  void InvalidateAll(std::size_t num_nodes);
+
+  /// Marks the slots of `ids` stale (block and memo word). Ids without a
+  /// slot yet are skipped: Grow creates their slots stale.
+  void InvalidateNodes(const std::vector<NodeId>& ids);
+
+  /// Makes room for `num_nodes` slots; new slots start stale.
+  void Grow(std::size_t num_nodes);
 
   /// Whether rebuilt blocks carry SQ8 mirrors. Flip from the mutation
   /// side only (TreeBase::set_quantized_leaf_blocks invalidates
@@ -110,17 +127,24 @@ class LeafBlockCache {
   const LeafBlock& Get(const Node& leaf, std::size_t dim) const;
 
   /// The current block of interior node `node`, building it if stale or
-  /// absent. Shares the node's slot (epoch, atomic, mutex) with Get: a
-  /// node id is one node, leaf or interior, so one invalidation covers
-  /// both kinds.
+  /// absent. Shares the node's slot (flag, mutex) with Get: a node id is
+  /// one node, leaf or interior, so one invalidation covers both kinds.
   const DirBlock& GetDir(const Node& node, std::size_t dim) const;
+
+  /// The memo word of node `id`. Zeroed whenever the node's slot is
+  /// invalidated; readers fill it with relaxed atomics (see
+  /// TreeBase::NodeMemo).
+  std::atomic_ref<std::uint64_t> Memo(NodeId id) const {
+    PARSIM_CHECK(id < memo_.size());
+    return std::atomic_ref<std::uint64_t>(memo_[id]);
+  }
 
  private:
   struct Slot {
-    /// Epoch the block was built at; acquire/release pairs with the
-    /// build below so a reader that sees the current epoch also sees
-    /// the fully built block.
-    std::atomic<std::uint64_t> built_epoch{0};
+    /// Whether `block`/`dir` is current; acquire/release pairs with the
+    /// build below so a reader that sees true also sees the fully built
+    /// block.
+    std::atomic<bool> built{false};
     std::mutex build_mutex;
     /// The node's block: `block` for a leaf, `dir` for an interior node
     /// (the other stays empty).
@@ -128,18 +152,27 @@ class LeafBlockCache {
     DirBlock dir;
   };
 
+  /// Clears `id`'s built flag and memo word (mutation side only).
+  void MarkStale(NodeId id) {
+    slots_[id]->built.store(false, std::memory_order_relaxed);
+    memo_[id] = 0;
+  }
+
   /// Runs `build` on `node`'s slot unless it is current (double-checked
   /// under the slot mutex) and returns the slot.
   template <typename Build>
   Slot& Materialize(const Node& node, Build&& build) const;
 
-  // unique_ptr slots: Invalidate() may grow the vector, and Slot holds
-  // a mutex/atomic (neither movable).
+  // unique_ptr slots: Grow() may grow the vector, and Slot holds a
+  // mutex/atomics (neither movable).
   std::vector<std::unique_ptr<Slot>> slots_;
-  /// Bumped by Invalidate; slots at an older epoch rebuild on access.
-  /// Starts above the slots' initial built_epoch of 0 so fresh slots
-  /// count as stale.
-  std::uint64_t epoch_ = 1;
+  /// One memo word per node id (0 = not cached), read through
+  /// std::atomic_ref. Kept contiguous rather than in Slot: the engine
+  /// reads it on every leaf access of a coalesced batch's serial fetch
+  /// phase, where a pointer chase into the scattered slots costs a cache
+  /// miss per page (with the word inside Slot, knn-hotspot ran ~8% fewer
+  /// ops/s on a 4-thread Xeon).
+  mutable std::vector<std::uint64_t> memo_;
   /// Mutation-side settings read by Get's (re)builds.
   bool quantize_ = false;
 };

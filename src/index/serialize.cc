@@ -1,8 +1,11 @@
 #include "src/index/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
 
 #include "src/util/check.h"
@@ -31,6 +34,32 @@ bool CheckMagic(std::istream& in, const char (&magic)[8]) {
   char buffer[8];
   in.read(buffer, sizeof(buffer));
   return in && std::memcmp(buffer, magic, sizeof(buffer)) == 0;
+}
+
+// Bytes between the read position and the end of `in`, or nullopt when
+// the stream cannot tell (not seekable). Every count a file claims is
+// checked against this before anything is sized by it, so a hostile
+// header cannot make the reader allocate more than the file could fill.
+std::optional<std::uint64_t> BytesLeft(std::istream& in) {
+  const std::streampos here = in.tellg();
+  if (here == std::streampos(-1)) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  if (end == std::streampos(-1) || end < here || !in) {
+    in.clear();
+    in.seekg(here);
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(end - here);
+}
+
+// How many of `claimed` records of `record_bytes` each to reserve: at most
+// as many as `left` bytes can hold, none when the size is unknown.
+std::size_t Reservable(std::uint64_t claimed, std::uint64_t record_bytes,
+                       std::optional<std::uint64_t> left) {
+  if (!left.has_value()) return 0;
+  return static_cast<std::size_t>(std::min(claimed, *left / record_bytes));
 }
 
 void WriteRect(std::ostream& out, const Rect& rect) {
@@ -81,8 +110,15 @@ Result<PointSet> ReadPointSet(std::istream& in) {
   if (!ReadRaw(in, &dim) || !ReadRaw(in, &count) || dim == 0) {
     return Status::InvalidArgument("corrupt point-set header");
   }
+  const std::optional<std::uint64_t> left = BytesLeft(in);
+  // A row must fit in the rest of the stream before a row buffer of
+  // `dim` scalars is allocated for it.
+  if (count > 0 && left.has_value() && dim > *left / sizeof(Scalar)) {
+    return Status::InvalidArgument("truncated point-set file");
+  }
   PointSet points(static_cast<std::size_t>(dim));
-  points.Reserve(static_cast<std::size_t>(count));
+  if (count == 0) return points;
+  points.Reserve(Reservable(count, dim * sizeof(Scalar), left));
   Point p(static_cast<std::size_t>(dim));
   for (std::uint64_t i = 0; i < count; ++i) {
     in.read(reinterpret_cast<char*>(p.data()),
@@ -112,7 +148,6 @@ Status SaveTree(const TreeBase& tree, const std::string& path) {
   WriteRaw(out, kFormatVersion);
   WriteRaw(out, static_cast<std::uint64_t>(tree.dim()));
   WriteRaw(out, static_cast<std::uint64_t>(tree.size()));
-  WriteRaw(out, tree.root_id());
 
   // Count reachable nodes, then emit them in a root-first walk.
   std::vector<NodeId> reachable;
@@ -128,17 +163,29 @@ Status SaveTree(const TreeBase& tree, const std::string& path) {
       }
     }
   }
+  // Ids are written dense (0..count-1, order-preserving), which LoadTree
+  // requires: a tree that dissolved or detached nodes has gaps in its id
+  // space, and those ids renumber; a gap-free tree keeps its ids.
+  std::vector<NodeId> sorted = reachable;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<NodeId> dense(tree.num_nodes(), kInvalidNodeId);
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    dense[sorted[i]] = static_cast<NodeId>(i);
+  }
+  WriteRaw(out, tree.root_id() == kInvalidNodeId ? kInvalidNodeId
+                                                 : dense[tree.root_id()]);
   WriteRaw(out, static_cast<std::uint64_t>(reachable.size()));
   for (NodeId id : reachable) {
     const Node& node = tree.PeekNode(id);
-    WriteRaw(out, node.id);
+    WriteRaw(out, dense[node.id]);
     WriteRaw(out, node.level);
     WriteRaw(out, node.pages);
     WriteRaw(out, node.split_history);
     WriteRaw(out, static_cast<std::uint64_t>(node.entries.size()));
     for (const NodeEntry& e : node.entries) {
       WriteRect(out, e.rect);
-      WriteRaw(out, e.child);
+      // Leaf entries carry point ids, directory entries node ids.
+      WriteRaw(out, node.IsLeaf() ? e.child : dense[e.child]);
     }
   }
   if (!out) return Status::Internal("write failed");
@@ -167,8 +214,13 @@ Status LoadTree(TreeBase* tree, const std::string& path) {
   if (!ReadRaw(in, &size) || !ReadRaw(in, &root) || !ReadRaw(in, &node_count)) {
     return Status::InvalidArgument("corrupt tree header");
   }
-  // Node ids index a dense table; size it to the maximum id seen.
-  std::vector<std::unique_ptr<Node>> nodes;
+  // Node ids index a dense table of node_count slots: SaveTree writes
+  // ids 0..node_count-1, each once. The records are read first and the
+  // table is sized only after all node_count of them arrived, so a
+  // hostile count or id cannot size it beyond what the file holds.
+  const std::uint64_t entry_bytes =
+      2 * dim * sizeof(Scalar) + sizeof(NodeEntry{}.child);
+  std::vector<std::unique_ptr<Node>> read;
   for (std::uint64_t n = 0; n < node_count; ++n) {
     auto node = std::make_unique<Node>();
     std::uint64_t entries = 0;
@@ -180,7 +232,10 @@ Status LoadTree(TreeBase* tree, const std::string& path) {
     if (node->level < 0 || node->pages == 0) {
       return Status::InvalidArgument("corrupt node fields");
     }
-    node->entries.reserve(entries);
+    if (node->id >= node_count) {
+      return Status::InvalidArgument("node id out of range");
+    }
+    node->entries.reserve(Reservable(entries, entry_bytes, BytesLeft(in)));
     for (std::uint64_t e = 0; e < entries; ++e) {
       NodeEntry entry;
       if (!ReadRect(in, static_cast<std::size_t>(dim), &entry.rect) ||
@@ -189,21 +244,20 @@ Status LoadTree(TreeBase* tree, const std::string& path) {
       }
       node->entries.push_back(std::move(entry));
     }
+    read.push_back(std::move(node));
+  }
+  // node_count records with distinct ids below node_count fill every
+  // slot of the table.
+  std::vector<std::unique_ptr<Node>> nodes(read.size());
+  for (auto& node : read) {
     const std::size_t slot = node->id;
-    if (slot >= nodes.size()) nodes.resize(slot + 1);
     if (nodes[slot] != nullptr) {
       return Status::InvalidArgument("duplicate node id");
     }
     nodes[slot] = std::move(node);
   }
-  if (root != kInvalidNodeId &&
-      (root >= nodes.size() || nodes[root] == nullptr)) {
+  if (root != kInvalidNodeId && root >= nodes.size()) {
     return Status::InvalidArgument("root id out of range");
-  }
-  // Unreferenced slots (dissolved nodes of the source tree) become empty
-  // placeholder leaves so the dense id table stays valid.
-  for (auto& slot : nodes) {
-    if (slot == nullptr) slot = std::make_unique<Node>();
   }
   tree->nodes_ = std::move(nodes);
   tree->root_ = root;

@@ -27,13 +27,18 @@ Result<PointSet> LoadPointSet(const std::string& path);
 Status WritePointSet(const PointSet& points, std::ostream& out);
 Result<PointSet> ReadPointSet(std::istream& in);
 
-/// Writes the full structure of `tree` (nodes, entries, root) to `path`.
+/// Writes the full structure of `tree` (reachable nodes, entries, root)
+/// to `path`. Node ids are renumbered densely in their original order,
+/// so a tree with dissolved or detached nodes restores with gap-free ids.
 Status SaveTree(const TreeBase& tree, const std::string& path);
 
 /// Restores a tree saved by SaveTree into `tree`, which must be empty
 /// and have the same dimensionality. The tree's disk/charging setup is
 /// unaffected (structure only); one page write per restored node is
-/// charged, like a build.
+/// charged, like a build. A file whose node ids are not 0..count-1, each
+/// once, is rejected with kInvalidArgument, as is any count the file
+/// cannot back: nothing is sized by a claimed count before the bytes
+/// behind it have been seen.
 Status LoadTree(TreeBase* tree, const std::string& path);
 
 }  // namespace parsim

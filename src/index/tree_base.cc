@@ -139,7 +139,7 @@ Status TreeBase::Insert(PointView p, PointId id) {
                                   false);
   InsertEntryAtLevel(std::move(entry), /*target_level=*/0, &reinsert_done);
   ++size_;
-  InvalidateLeafBlocks();
+  FinishWrite();
   return Status::Ok();
 }
 
@@ -159,33 +159,39 @@ std::vector<NodeId> TreeBase::ChoosePath(const Rect& rect,
     if (node.level == 1 && target_level == 0) {
       // Children are leaves: R* picks by (nearly) minimum overlap
       // enlargement among the candidates with least area enlargement.
+      // Each entry's enlargement is computed once, before the sort; the
+      // comparator sees the same doubles as before, so std::sort yields
+      // the same permutation.
       constexpr std::size_t kOverlapCandidates = 8;
-      std::vector<std::size_t> order(node.entries.size());
-      std::iota(order.begin(), order.end(), 0);
-      auto area_enlargement = [&](std::size_t i) {
+      const std::size_t n = node.entries.size();
+      std::vector<double> area_enl(n);
+      for (std::size_t i = 0; i < n; ++i) {
         const Rect& r = node.entries[i].rect;
-        return Rect::Union(r, rect).Volume() - r.Volume();
-      };
+        area_enl[i] = Rect::UnionVolume(r, rect) - r.Volume();
+      }
+      std::vector<std::size_t> order(n);
+      std::iota(order.begin(), order.end(), 0);
       std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return area_enlargement(a) < area_enlargement(b);
+        return area_enl[a] < area_enl[b];
       });
-      const std::size_t candidates =
-          std::min(kOverlapCandidates, order.size());
+      const std::size_t candidates = std::min(kOverlapCandidates, n);
       double best_overlap = std::numeric_limits<double>::infinity();
       double best_area_enl = std::numeric_limits<double>::infinity();
       double best_area = std::numeric_limits<double>::infinity();
+      Rect enlarged;  // reused: copy-assignment keeps its capacity
       for (std::size_t c = 0; c < candidates; ++c) {
         const std::size_t i = order[c];
-        const Rect enlarged = Rect::Union(node.entries[i].rect, rect);
+        const Rect& ri = node.entries[i].rect;
+        enlarged = ri;
+        enlarged.ExtendToInclude(rect);
         double overlap_delta = 0.0;
-        for (std::size_t j = 0; j < node.entries.size(); ++j) {
+        for (std::size_t j = 0; j < n; ++j) {
           if (j == i) continue;
-          overlap_delta +=
-              enlarged.OverlapVolume(node.entries[j].rect) -
-              node.entries[i].rect.OverlapVolume(node.entries[j].rect);
+          const Rect& rj = node.entries[j].rect;
+          overlap_delta += enlarged.OverlapVolume(rj) - ri.OverlapVolume(rj);
         }
-        const double enl = area_enlargement(i);
-        const double area = node.entries[i].rect.Volume();
+        const double enl = area_enl[i];
+        const double area = ri.Volume();
         if (overlap_delta < best_overlap ||
             (overlap_delta == best_overlap &&
              (enl < best_area_enl ||
@@ -202,8 +208,8 @@ std::vector<NodeId> TreeBase::ChoosePath(const Rect& rect,
       double best_area = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < node.entries.size(); ++i) {
         const Rect& r = node.entries[i].rect;
-        const double enl = Rect::Union(r, rect).Volume() - r.Volume();
         const double area = r.Volume();
+        const double enl = Rect::UnionVolume(r, rect) - area;
         if (enl < best_enl || (enl == best_enl && area < best_area)) {
           best_enl = enl;
           best_area = area;
@@ -237,6 +243,10 @@ void TreeBase::RefreshPathMbrs(const std::vector<NodeId>& path) {
 void TreeBase::InsertEntryAtLevel(NodeEntry entry, int target_level,
                                   std::vector<bool>* reinsert_done) {
   std::vector<NodeId> path = ChoosePath(entry.rect, target_level);
+  // Every node this insertion changes lies on `path`: the target, split
+  // nodes and their parents, the forced-reinsert node. Split siblings
+  // and a new root are new nodes; reinsertions mark their own paths.
+  leaf_blocks_.InvalidateNodes(path);
   nodes_[path.back()]->entries.push_back(std::move(entry));
   RefreshPathMbrs(path);
 
@@ -787,6 +797,9 @@ Status TreeBase::Delete(PointView p, PointId id) {
   }
   const std::vector<NodeId> path = FindLeafPath(p, id);
   if (path.empty()) return Status::NotFound("record not stored");
+  // The removal and CondenseTree change only nodes on `path`; orphan
+  // reinsertions mark their own paths.
+  leaf_blocks_.InvalidateNodes(path);
   Node& leaf = *nodes_[path.back()];
   const Rect probe = Rect::AroundPoint(p);
   bool removed = false;
@@ -801,7 +814,7 @@ Status TreeBase::Delete(PointView p, PointId id) {
   PARSIM_CHECK(removed);
   --size_;
   CondenseTree(path);
-  InvalidateLeafBlocks();
+  FinishWrite();
   return Status::Ok();
 }
 

@@ -75,8 +75,8 @@ class TreeBase {
   /// Total data (leaf) pages reachable from the root — the page count a
   /// query would be charged for reading this tree's entire data set.
   /// Cached after the first call; every structural change drops the
-  /// cache (same hook as the leaf-block cache). Safe under concurrent
-  /// readers: the recompute is idempotent and the slot is atomic.
+  /// cache. Safe under concurrent readers: the recompute is idempotent
+  /// and the slot is atomic.
   std::uint64_t DataPages() const;
 
   std::size_t leaf_capacity_per_page() const { return leaf_capacity_; }
@@ -158,8 +158,9 @@ class TreeBase {
   /// resolving it a second time.
   const Node& AccessNode(NodeId id, DiskRoute* route = nullptr) const;
 
-  /// The SoA block of `leaf`, built lazily and cached until the next
-  /// structural change. Safe for concurrent queries; see LeafBlockCache.
+  /// The SoA block of `leaf`, built lazily and cached until a write
+  /// walks through the leaf (or the tree is rebuilt). Safe for
+  /// concurrent queries; see LeafBlockCache.
   const LeafBlock& LeafBlockOf(const Node& leaf) const {
     return leaf_blocks_.Get(leaf, dim_);
   }
@@ -171,6 +172,16 @@ class TreeBase {
     return leaf_blocks_.GetDir(node, dim_);
   }
 
+  /// One 64-bit word of derived state per node, for the installed
+  /// NodeDiskResolver to memoize what it derives from the node's entries
+  /// (the shared-tree engine caches a leaf's disk route here). It lives
+  /// in the node's block slot and is zeroed whenever the block is
+  /// invalidated, so a stored word stays valid exactly as long as the
+  /// node's entries; 0 means "not cached". Readers fill it
+  /// racing-but-idempotently with relaxed atomics.
+  std::atomic_ref<std::uint64_t> NodeMemo(NodeId id) const {
+    return leaf_blocks_.Memo(id);
+  }
 
   /// Whether leaf blocks carry SQ8 mirrors for error-bounded pruned
   /// sweeps (src/index/leaf_sweep.h). Mutation-side toggle — it
@@ -190,9 +201,9 @@ class TreeBase {
   /// when enabled, its SQ8 mirror) and each interior node's DirBlock —
   /// over `pool` when given (nullptr runs on the caller). Blocks are
   /// derived state built lazily on first access, so without warming the
-  /// first query wave after a build silently pays the epoch-cache
-  /// construction; benchmarks and the throughput harness call this so
-  /// they measure steady state. Charges nothing — block builds never
+  /// first query wave after a build silently pays their construction;
+  /// benchmarks and the throughput harness call this so they measure
+  /// steady state. Charges nothing — block builds never
   /// meter pages or CPU (only AccessNode does) — and is safe to omit
   /// entirely.
   void WarmLeafBlocks(ThreadPool* pool = nullptr) const;
@@ -270,11 +281,12 @@ class TreeBase {
   NodeDiskResolver node_disk_resolver_;
   LeafBlockCache leaf_blocks_;
 
-  /// Marks every cached leaf block stale and drops the data-page count.
-  /// Every mutating entry point (Insert, Delete, BulkLoad,
-  /// deserialization) must call this before returning control to queries.
+  /// Marks every node's cached blocks and memo word stale and drops the
+  /// data-page count. For whole-tree rebuilds only (BulkLoad,
+  /// deserialization, the quantize toggle): Insert and Delete invalidate
+  /// just the paths they walk (see InsertEntryAtLevel and Delete).
   void InvalidateLeafBlocks() {
-    leaf_blocks_.Invalidate(nodes_.size());
+    leaf_blocks_.InvalidateAll(nodes_.size());
     data_pages_cache_.store(0, std::memory_order_relaxed);
   }
 
@@ -282,6 +294,15 @@ class TreeBase {
   mutable std::atomic<std::uint64_t> data_pages_cache_{0};
 
  private:
+  // Ends a write: gives the nodes it allocated their cache slots, which
+  // start stale (node ids are never reused), and drops the data-page
+  // count. O(new nodes), not O(nodes); the nodes the write changed were
+  // marked stale along the paths it walked.
+  void FinishWrite() {
+    leaf_blocks_.Grow(nodes_.size());
+    data_pages_cache_.store(0, std::memory_order_relaxed);
+  }
+
   // One top-down insertion of `entry` at `target_level`, with R* overflow
   // treatment. `reinsert_done` has one flag per level for the enclosing
   // logical insertion.

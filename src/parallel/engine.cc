@@ -127,26 +127,19 @@ DiskId ParallelSearchEngine::DiskOfLeaf(const Node& leaf) const {
   return declusterer_->DiskOfPoint(center, leaf.id);
 }
 
-void ParallelSearchEngine::InvalidateLeafRoutes() {
-  if (options_.architecture != Architecture::kSharedTree || trees_.empty()) {
-    return;
-  }
-  const std::size_t n = trees_[0]->num_nodes();
-  // make_unique value-initializes, so every slot starts invalid (0).
-  leaf_routes_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  leaf_routes_size_ = n;
-}
-
 TreeBase::DiskRoute ParallelSearchEngine::RouteLeaf(const Node& leaf) const {
   PARSIM_DCHECK(leaf.IsLeaf());
   // The declustering color and replica bucket are pure functions of the
-  // leaf's MBR center; the memoized word skips the per-access MBR fold.
-  // Fault checks below stay live — only geometry is cached. Packing
-  // (and its field-width guards) lives in src/parallel/route_memo.h.
-  std::atomic<std::uint64_t>* slot =
-      leaf.id < leaf_routes_size_ ? &leaf_routes_[leaf.id] : nullptr;
-  const std::uint64_t packed =
-      slot != nullptr ? slot->load(std::memory_order_relaxed) : 0;
+  // leaf's MBR center, but recomputing the MBR on every access costs a
+  // fold over the page's entries (~40% of end-to-end batch time before
+  // memoization). The packed word lives in the tree's per-node memo,
+  // which every write that walks through the leaf zeroes. Queries fill
+  // it racing-but-idempotent (every thread computes the same word).
+  // Fault checks below stay live — only geometry is cached, so
+  // SetFaultPlan needs no invalidation. Packing (and its field-width
+  // guards) lives in src/parallel/route_memo.h.
+  const std::atomic_ref<std::uint64_t> slot = trees_[0]->NodeMemo(leaf.id);
+  const std::uint64_t packed = slot.load(std::memory_order_relaxed);
   DiskId primary_id;
   BucketId bucket;
   if (route_memo::IsValid(packed)) {
@@ -158,9 +151,7 @@ TreeBase::DiskRoute ParallelSearchEngine::RouteLeaf(const Node& leaf) const {
     bucket = replicas_ != nullptr ? replicas_->bucketizer().BucketOf(center)
                                   : BucketId{0};
     const std::uint64_t word = route_memo::Pack(primary_id, bucket);
-    if (slot != nullptr && word != 0) {
-      slot->store(word, std::memory_order_relaxed);
-    }
+    if (word != 0) slot.store(word, std::memory_order_relaxed);
   }
   SimulatedDisk& primary = disks_.disk(primary_id);
   if (!primary.is_failed()) return TreeBase::DiskRoute{&primary};
@@ -255,7 +246,6 @@ Status ParallelSearchEngine::Build(const PointSet& points) {
   build_stats_ += host_.stats();
   disks_.ResetStats();
   host_.ResetStats();
-  InvalidateLeafRoutes();
   if (build_pool != nullptr) {
     // Parallel post-build warm-up: the SoA blocks (leaf blocks with
     // SQ8 mirrors when enabled, interior-node DirBlocks) and the
@@ -295,7 +285,6 @@ Status ParallelSearchEngine::Insert(PointView p, PointId id) {
   if (options_.architecture == Architecture::kSharedTree) {
     Status s = trees_[0]->Insert(p, id);
     if (!s.ok()) return s;
-    InvalidateLeafRoutes();
   } else if (options_.architecture == Architecture::kFederatedScan) {
     const DiskId disk = declusterer_->DiskOfPoint(p, id);
     PARSIM_CHECK(disk < scan_partitions_.size());
@@ -318,9 +307,6 @@ Status ParallelSearchEngine::Remove(PointView p, PointId id) {
   Status s = Status::Ok();
   if (options_.architecture == Architecture::kSharedTree) {
     s = trees_[0]->Delete(p, id);
-    // Even a NotFound delete may have reorganized nodes on its way down
-    // (condensation re-inserts); drop the memoized routes either way.
-    InvalidateLeafRoutes();
   } else if (options_.architecture == Architecture::kFederatedScan) {
     const DiskId disk = declusterer_->DiskOfPoint(p, id);
     PARSIM_CHECK(disk < scan_partitions_.size());
@@ -715,6 +701,7 @@ void ParallelSearchEngine::WarmLeafBlocks(unsigned threads) const {
   std::shared_ptr<ThreadPool> pool;
   if (threads > 1) pool = EnsurePool(threads);
   for (const auto& t : trees_) t->WarmLeafBlocks(pool.get());
+  PrewarmLeafRoutes(pool.get());
 }
 
 std::vector<KnnResult> ParallelSearchEngine::QueryBatch(

@@ -376,10 +376,11 @@ class ParallelSearchEngine {
 
   /// Prebuilds every node's SoA block on all trees — each leaf's block
   /// (and SQ8 mirror, when enabled) and each interior
-  /// node's DirBlock — over `threads` pool workers when > 1.
-  /// Charges nothing. Benchmarks and the throughput harness call this so
-  /// timed runs measure steady state rather than first-touch block
-  /// construction; safe to omit otherwise.
+  /// node's DirBlock — and, on the shared tree, every leaf's memoized
+  /// route, over `threads` pool workers when > 1. Charges nothing.
+  /// Benchmarks and the throughput harness call this so timed runs
+  /// measure steady state rather than first-touch block construction;
+  /// safe to omit otherwise.
   void WarmLeafBlocks(unsigned threads = 0) const;
 
   /// All point ids inside `query` (inclusive). The query type the
@@ -469,13 +470,6 @@ class ParallelSearchEngine {
   /// primary flagged unavailable when no healthy copy exists.
   TreeBase::DiskRoute RouteLeaf(const Node& leaf) const;
 
-  /// Drops every memoized leaf route and resizes the cache to the shared
-  /// tree's current node count. Call after any structural change (Build,
-  /// Insert, Remove) — leaf MBRs may have moved, and with them the
-  /// declustering color. Mutation-side only: must not race with queries
-  /// (the tree family's standing contract).
-  void InvalidateLeafRoutes();
-
   /// Fills the leaf-route memo for every leaf of the shared tree, over
   /// `pool` when given. RouteLeaf's memo fill is idempotent (the packed
   /// word is a pure function of the leaf MBR) and the slots are relaxed
@@ -507,17 +501,6 @@ class ParallelSearchEngine {
   /// mechanism, 1.0 (exact) otherwise. See ApproxContext.
   ApproxContext approx_;
   std::unique_ptr<ReplicaPlacement> replicas_;
-  /// Memoized shared-tree leaf routing, one packed word per node id:
-  /// bit 63 = valid, bits 16..47 = replica bucket, bits 0..15 = primary
-  /// disk. The route of a leaf is a pure function of its MBR (center ->
-  /// declustering color), but recomputing the MBR on every node access
-  /// costs a fold over the page's entries — it showed up as ~40% of
-  /// end-to-end batch time before memoization. Queries fill slots
-  /// racing-but-idempotent (every thread computes the same word, relaxed
-  /// atomics keep TSAN happy); fault state stays OUT of the word, so
-  /// SetFaultPlan needs no invalidation.
-  mutable std::unique_ptr<std::atomic<std::uint64_t>[]> leaf_routes_;
-  std::size_t leaf_routes_size_ = 0;
   // buffer_pool_ must outlive disks_ and host_ (attached shards), which
   // must outlive the trees (raw pointers inside).
   std::unique_ptr<BufferPool> buffer_pool_;

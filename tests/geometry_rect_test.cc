@@ -270,6 +270,24 @@ TEST_P(RectPropertyTest, IntersectionContainedInBoth) {
   }
 }
 
+// ChooseSubtree scores candidates with UnionVolume / OverlapVolume in
+// place of building Union / Intersection Rects; the trees it builds stay
+// bit-identical only if every double does. Degenerate (point) rects are
+// what leaf entries are, so they are mixed in.
+TEST_P(RectPropertyTest, VolumeHelpersMatchBuiltRectsBitwise) {
+  const std::size_t dim = GetParam();
+  Rng rng(5500 + dim);
+  for (int trial = 0; trial < 100; ++trial) {
+    const Rect a = RandomRect(&rng, dim);
+    const Rect b = trial % 3 == 0 ? Rect::AroundPoint(RandomPoint(dim, &rng))
+                                  : RandomRect(&rng, dim);
+    EXPECT_EQ(Rect::UnionVolume(a, b), Rect::Union(a, b).Volume());
+    EXPECT_EQ(Rect::UnionVolume(b, a), Rect::Union(b, a).Volume());
+    EXPECT_EQ(a.OverlapVolume(b), Rect::Intersection(a, b).Volume());
+    EXPECT_EQ(b.OverlapVolume(a), Rect::Intersection(b, a).Volume());
+  }
+}
+
 TEST_P(RectPropertyTest, IntersectsBallAgreesWithMinDist) {
   const std::size_t dim = GetParam();
   Rng rng(6000 + dim);

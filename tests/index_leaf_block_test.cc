@@ -328,7 +328,7 @@ TEST_P(DirBlockMutationTest, DirBlocksTrackInsertsAndDeletes) {
 
 // Readers racing on a freshly built tree: every block is built on first
 // touch, by whichever thread reaches its slot first, while the others
-// wait on the slot mutex or take the epoch fast path (CI runs this under
+// wait on the slot mutex or take the built-flag fast path (CI runs this under
 // ThreadSanitizer). Each thread's answers must equal a serial rerun.
 TEST(DirBlockConcurrencyTest, ConcurrentFirstTouchMatchesSerial) {
   const std::size_t dim = 16;

@@ -192,5 +192,113 @@ TEST_F(SerializeTest, TreeWithDeletionsRoundTrips) {
   ASSERT_TRUE(restored.ValidateInvariants().ok());
 }
 
+TEST_F(SerializeTest, SavedNodeIdsAreDenseAfterDeletions) {
+  // Condensation leaves gaps in the id space; SaveTree renumbers the
+  // reachable nodes so the restored table has no placeholder slots, and
+  // the restored tree answers like the original.
+  SimulatedDisk disk(0);
+  XTree original(4, &disk);
+  const PointSet data = GenerateUniform(3000, 4, 1113);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(original.Insert(data[i], static_cast<PointId>(i)).ok());
+  }
+  for (std::size_t i = 0; i < data.size(); i += 2) {
+    ASSERT_TRUE(original.Delete(data[i], static_cast<PointId>(i)).ok());
+  }
+  ASSERT_GT(original.num_nodes(), original.ComputeStats().num_nodes);
+  const std::string path = Track(TempPath("tree7.bin"));
+  ASSERT_TRUE(SaveTree(original, path).ok());
+  SimulatedDisk disk2(1);
+  XTree restored(4, &disk2);
+  ASSERT_TRUE(LoadTree(&restored, path).ok());
+  EXPECT_EQ(restored.num_nodes(), original.ComputeStats().num_nodes);
+  ASSERT_TRUE(restored.ValidateInvariants().ok());
+  const PointSet queries = GenerateUniformQueries(10, 4, 1115);
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const KnnResult a = HsKnn(original, queries[qi], 10);
+    const KnnResult b = HsKnn(restored, queries[qi], 10);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id);
+      EXPECT_EQ(a[i].distance, b[i].distance);
+    }
+  }
+}
+
+// Hostile headers: each claims far more than the file holds. The reader
+// must answer kInvalidArgument without sizing anything by the claim
+// (the old reader asked for terabytes and threw).
+class HostileFileTest : public SerializeTest {
+ protected:
+  template <typename T>
+  void Put(std::string* bytes, T value) {
+    bytes->append(reinterpret_cast<const char*>(&value), sizeof(T));
+  }
+
+  std::string Write(const char* name, const std::string& bytes) {
+    const std::string path = Track(TempPath(name));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path;
+  }
+
+  // A d=2 tree file header claiming one node, then that node's header.
+  std::string TreeWithOneNode(NodeId id, std::uint64_t entries) {
+    std::string bytes = "PSIMTRE1";
+    Put(&bytes, std::uint32_t{1});       // version
+    Put(&bytes, std::uint64_t{2});       // dim
+    Put(&bytes, std::uint64_t{1});       // size
+    Put(&bytes, NodeId{0});              // root
+    Put(&bytes, std::uint64_t{1});       // node count
+    Put(&bytes, id);
+    Put(&bytes, int{0});                 // level
+    Put(&bytes, std::uint32_t{1});       // pages
+    Put(&bytes, std::uint32_t{0});       // split history
+    Put(&bytes, entries);
+    for (int i = 0; i < 4; ++i) Put(&bytes, Scalar{0.5f});  // one rect
+    Put(&bytes, std::uint32_t{7});       // its point id
+    return bytes;
+  }
+};
+
+TEST_F(HostileFileTest, PointSetClaimingTwoToTheFortyPointsFails) {
+  std::string bytes = "PSIMPTS1";
+  Put(&bytes, std::uint32_t{1});
+  Put(&bytes, std::uint64_t{16});
+  Put(&bytes, std::uint64_t{1} << 40);
+  for (int i = 0; i < 3 * 16; ++i) Put(&bytes, Scalar{0.25f});
+  const std::string path = Write("hostile_points.bin", bytes);
+  EXPECT_EQ(LoadPointSet(path).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(HostileFileTest, NodeClaimingTwoToTheFortyEntriesFails) {
+  const std::string path = Write(
+      "hostile_entries.bin", TreeWithOneNode(0, std::uint64_t{1} << 40));
+  SimulatedDisk disk(0);
+  RStarTree tree(2, &disk);
+  EXPECT_EQ(LoadTree(&tree, path).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(tree.empty());
+}
+
+TEST_F(HostileFileTest, NodeIdBeyondNodeCountFails) {
+  const std::string path =
+      Write("hostile_id.bin", TreeWithOneNode(0xFFFFFFFEu, 1));
+  SimulatedDisk disk(0);
+  RStarTree tree(2, &disk);
+  EXPECT_EQ(LoadTree(&tree, path).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(tree.empty());
+}
+
+TEST_F(HostileFileTest, WellFormedOneNodeTreeLoads) {
+  // The same builder with honest fields: the rejections above come from
+  // the claims, not from the hand-built layout.
+  const std::string path = Write("honest.bin", TreeWithOneNode(0, 1));
+  SimulatedDisk disk(0);
+  RStarTree tree(2, &disk);
+  ASSERT_TRUE(LoadTree(&tree, path).ok());
+  EXPECT_EQ(tree.size(), 1u);
+  EXPECT_TRUE(tree.Contains(Point({0.5f, 0.5f}), 7));
+}
+
 }  // namespace
 }  // namespace parsim

@@ -72,7 +72,10 @@ echo "== [3/5] TSAN build + concurrency tests =="
 # thread-count invariant; index_leaf_block_test covers the block cache
 # itself, whose slots now also build interior-node DirBlocks on first
 # touch (concurrently, from the coalesced rounds' pool workers), and its
-# invalidation across interleaved inserts and deletes.
+# invalidation across interleaved inserts and deletes;
+# index_write_invalidation_test follows every write with a 4-worker
+# QueryBatch whose workers race to first-touch the block slots and
+# route words that write's path-scoped invalidation marked stale.
 TSAN_TESTS=(util_thread_pool_test util_parallel_sort_test
             io_buffer_pool_test
             parallel_concurrency_test parallel_threads_test
@@ -81,7 +84,7 @@ TSAN_TESTS=(util_thread_pool_test util_parallel_sort_test
             index_quantized_block_test
             index_approx_knn_test parallel_service_test
             index_bulk_load_parallel_test parallel_join_test
-            index_leaf_block_test)
+            index_leaf_block_test index_write_invalidation_test)
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
